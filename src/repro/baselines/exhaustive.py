@@ -12,8 +12,11 @@ mappings.
 With ``bound=True`` (the default) the walk is branch-and-bound: the
 space is traversed as a DFS over per-dimension factor-split prefixes,
 and each prefix region is tested against the incumbent via the analytic
-:class:`~repro.mapspace.bounds.BoundModel` (through the
-:meth:`Space.bound` hook).  A pruned prefix discards every completion —
+:class:`~repro.mapspace.bounds.BoundModel`: a node's sibling prefixes
+are bounded in one :meth:`~repro.mapspace.bounds.BoundModel.block_bound`
+pass (bit-identical to the scalar bound), or one by one through the
+:meth:`Space.bound` hook when numpy is absent.  A pruned prefix discards
+every completion —
 all remaining split choices *times* all ``P**num_levels`` loop-order
 combinations — in O(1), with the skipped candidate count computed
 analytically (shard-aware).  Pruning only fires when the bound
@@ -314,40 +317,82 @@ def _branch_and_bound(
 
     prefix: list[tuple[int, ...]] = []
 
-    def walk(k: int, base: int) -> None:
+    if _np is not None:
+        # Block bounds: each node bounds all of its children in one
+        # numpy pass (bit-identical to the scalar region bound).  A row
+        # is the (levels, dims) temporal/spatial factor grid of one
+        # prefix: the parent's grid with column ``k`` set from dim
+        # ``k``'s lattice rows scattered into their slots.
+        t_slots = [i for i, (kind, _) in enumerate(slots) if kind == "t"]
+        s_slots = [i for i, (kind, _) in enumerate(slots) if kind == "s"]
+        t_levels = [slots[i][1] for i in t_slots]
+        s_levels = [slots[i][1] for i in s_slots]
+        columns = []
+        for items in lattice_items:
+            splits = _np.array(items, dtype=_np.int64)
+            t_col = _np.ones((len(splits), num), dtype=_np.int64)
+            s_col = _np.ones((len(splits), num), dtype=_np.int64)
+            t_col[:, t_levels] = splits[:, t_slots]
+            s_col[:, s_levels] = splits[:, s_slots]
+            columns.append((t_col, s_col))
+        free_after = [{d: workload.dims[d] for d in dims[k + 1:]}
+                      for k in range(len(dims))]
+
+        def kid_bounds(k: int, rows):
+            t_col, s_col = columns[k]
+            t_grid = _np.repeat(rows[0][None], len(t_col), axis=0)
+            s_grid = _np.repeat(rows[1][None], len(s_col), axis=0)
+            t_grid[:, :, k] = t_col
+            s_grid[:, :, k] = s_col
+            values = model.block_bound(t_grid, s_grid, free_after[k])
+            return values.tolist(), lambda j: (t_grid[j], s_grid[j])
+
+        root = (_np.ones((num, len(dims)), dtype=_np.int64),
+                _np.ones((num, len(dims)), dtype=_np.int64))
+    else:
+        def kid_bounds(k: int, rows):
+            values = []
+            for split in lattice_items[k]:
+                prefix.append(split)
+                region = Region.from_splits(
+                    workload, arch, dict(zip(dims, prefix)))
+                prefix.pop()
+                values.append(space.bound(objective,
+                                          BoundContext(model, region)))
+            return values, lambda j: None
+
+        root = None
+
+    def walk(k: int, base: int, rows) -> None:
         if k == len(dims):
             first = base + ((shard_index - base) % shard_count)
             if first < base + block:
                 emit_leaf(base, first)
             return
         stride = tail[k + 1]
-        kids = []
-        for j, split in enumerate(lattice_items[k]):
-            prefix.append(split)
-            region = Region.from_splits(
-                workload, arch, dict(zip(dims, prefix)))
-            prefix.pop()
-            kids.append((space.bound(objective,
-                                     BoundContext(model, region)), j, split))
-            stats.bound_regions_tested += 1
-        kids.sort(key=lambda kid: (kid[0], kid[1]))
-        for pos, (value, j, split) in enumerate(kids):
+        bound_start = time.perf_counter()
+        values, child_rows = kid_bounds(k, rows)
+        stats.add_stage_time("bound", time.perf_counter() - bound_start)
+        stats.bound_regions_tested += len(values)
+        # Ascending (bound, j): a stable sort of the in-order indices.
+        order = sorted(range(len(values)), key=values.__getitem__)
+        for pos, j in enumerate(order):
             # Strict >: a region whose bound merely equals the incumbent
             # could still hold an equal-value candidate that outranks the
             # incumbent on enumeration index.
-            if best is not None and value > best[0]:
+            if best is not None and values[j] > best[0]:
                 # Siblings are sorted by bound, so everything from here
                 # on prunes against the same incumbent.
-                for _, j2, _ in kids[pos:]:
+                for j2 in order[pos:]:
                     stats.bound_regions_pruned += 1
                     stats.bound_candidates_skipped += in_shard(
                         base + j2 * stride, stride)
                 return
-            prefix.append(split)
-            walk(k + 1, base + j * stride)
+            prefix.append(lattice_items[k][j])
+            walk(k + 1, base + j * stride, child_rows(j))
             prefix.pop()
 
-    walk(0, 0)
+    walk(0, 0, root)
     flush()
     certificate = {"lower_bound": model.space_bound()}
     if best is not None:

@@ -256,6 +256,10 @@ class SunstoneScheduler:
         # candidate enumeration is memoised per scheduler instance.
         self._tiling_cache: dict = {}
         self._unroll_cache: dict = {}
+        # Placement verdicts of the current sweep step, keyed on
+        # (level, tile sizes, unrolling): the step's children repeat a
+        # few hundred distinct placements tens of thousands of times.
+        self._fits_memo: dict[tuple, bool] = {}
         # Evaluation engine: injected to share a result cache (and pool)
         # across searches, or built lazily from the options.
         self._engine = engine
@@ -603,7 +607,7 @@ class SunstoneScheduler:
             spatial=tuple({} for _ in range(num)),
             orders=tuple(None for _ in range(num)),
             frontier=dict(self.workload.dims),
-            sink_level=num - 1 if bottom_up else num - 1,
+            sink_level=num - 1,
         )
         frontier: list[tuple[float, _State]] = [(float("inf"), initial)]
         steps = list(range(num - 1) if bottom_up else range(num - 2, -1, -1))
@@ -647,10 +651,13 @@ class SunstoneScheduler:
             if ordinal < start_ordinal:
                 continue
             level_start = time.perf_counter()
+            self._fits_memo.clear()
             children: list[_State] = []
             for _, state in frontier:
                 children.extend(
                     self._children(state, level, orderings, stats, bottom_up))
+            nests: list[tuple[tuple, tuple]] | None = None
+            bound_s = 0.0
             bound_model = self._bound_model()
             if (bound_model is not None and best is not None
                     and ordinal == len(steps) - 1):
@@ -662,18 +669,10 @@ class SunstoneScheduler:
                 # point of the scan — and is dropped before evaluation.
                 # Mid-sweep filtering would alter the beam frontier and
                 # is therefore never done.
-                bnd = stats.prune.bound
-                kept: list[_State] = []
-                for child in children:
-                    temporal, spatial = self._completion_factors(child)
-                    region = Region(temporal, spatial, {}, num)
-                    bnd.regions_tested += 1
-                    if bound_model.region_bound(region) > best[0]:
-                        bnd.regions_pruned += 1
-                        bnd.candidates_skipped += 1
-                    else:
-                        kept.append(child)
-                children = kept
+                children, nests, bound_s = self._bound_filter(
+                    bound_model, children, best[0], stats,
+                    with_nests=self.options.batch_gen)
+                engine.stats.add_stage_time("bound", bound_s)
             # Batch the whole level: the engine dedupes equal fingerprints
             # and vectorises (or fans out) the misses, returning results
             # in candidate order so ranking matches the serial path
@@ -683,16 +682,20 @@ class SunstoneScheduler:
             cohort: NestCohort | None = None
             mappings: list[Mapping] | None = None
             if self.options.batch_gen and len(children) >= 2:
-                cohort = NestCohort.from_nests(
-                    self.workload, self.arch,
-                    [self._completion_nests(child) for child in children])
+                if nests is None:
+                    nests = [self._completion_nests(child)
+                             for child in children]
+                cohort = NestCohort.from_nests(self.workload, self.arch,
+                                               nests)
                 engine.stats.add_stage_time(
-                    "generation", time.perf_counter() - level_start)
+                    "generation",
+                    time.perf_counter() - level_start - bound_s)
                 costs = engine.evaluate_cohort(cohort)
             else:
                 mappings = [self._materialize(child) for child in children]
                 engine.stats.add_stage_time(
-                    "generation", time.perf_counter() - level_start)
+                    "generation",
+                    time.perf_counter() - level_start - bound_s)
                 costs = engine.evaluate_many(mappings)
             stats.evaluations += len(children)
             scored: list[tuple[float, _State]] = []
@@ -731,6 +734,55 @@ class SunstoneScheduler:
         if best is not None:
             return best[1], best[2]
         return None
+
+    def _bound_filter(
+        self,
+        bound_model: BoundModel,
+        children: list[_State],
+        incumbent: float,
+        stats: SchedulerStats,
+        with_nests: bool,
+    ) -> tuple[list[_State], list[tuple[tuple, tuple]] | None, float]:
+        """Drop the children whose completion's analytic floor strictly
+        exceeds ``incumbent``.
+
+        Returns the kept children, their ``_completion_nests`` when
+        ``with_nests`` (built from the completion the bound already
+        made, which is then dropped), and the seconds spent bounding.
+        Completions repeat heavily across children, so each distinct
+        one is bounded once, keyed by its per-level factors in workload
+        dim order (absent and trivial factors both read 1, and neither
+        moves a bound).  Every child still counts as one region tested.
+        """
+        num = self.arch.num_levels
+        dims = self.workload.dim_names
+        bnd = stats.prune.bound
+        clock = time.perf_counter
+        bound_s = 0.0
+        memo: dict[tuple, float] = {}
+        kept: list[_State] = []
+        nests: list[tuple[tuple, tuple]] = []
+        for child in children:
+            completion = self._completion_factors(child)
+            start = clock()
+            temporal, spatial = completion
+            key = tuple([t.get(d, 1) for t in temporal for d in dims]
+                        + [s.get(d, 1) for s in spatial for d in dims])
+            value = memo.get(key)
+            if value is None:
+                value = bound_model.region_bound(
+                    Region(temporal, spatial, {}, num))
+                memo[key] = value
+            bound_s += clock() - start
+            bnd.regions_tested += 1
+            if value > incumbent:
+                bnd.regions_pruned += 1
+                bnd.candidates_skipped += 1
+                continue
+            kept.append(child)
+            if with_nests:
+                nests.append(self._completion_nests(child, completion))
+        return kept, (nests if with_nests else None), bound_s
 
     # ------------------------------------------------------------------
     # checkpoint (de)serialisation
@@ -980,16 +1032,26 @@ class SunstoneScheduler:
         order_nest: tuple[str, ...],
         tiling: dict[str, int],
         unroll: dict[str, int],
+        base: dict[str, int] | None = None,
     ) -> _State | None:
         """Attach one (tiling, unrolling, parent order) decision to a
-        bottom-up partial schedule; None when the placement is infeasible."""
-        base = self._base_sizes(state, level)
+        bottom-up partial schedule; None when the placement is infeasible.
+        ``base`` is ``self._base_sizes(state, level)`` when the caller
+        has it."""
+        if base is None:
+            base = self._base_sizes(state, level)
         # Bypassed tensors must still fit their upstream homes once the
         # boundary's spatial factors replicate/partition the tile.
         sizes = {
             d: base.get(d, 1) * tiling.get(d, 1) for d in self.workload.dims
         }
-        if not placement_fits(self.workload, self.arch, level, sizes, unroll):
+        key = (level, tuple(sizes.values()), tuple(sorted(unroll.items())))
+        fits = self._fits_memo.get(key)
+        if fits is None:
+            fits = placement_fits(self.workload, self.arch, level, sizes,
+                                  unroll)
+            self._fits_memo[key] = fits
+        if not fits:
             return None
         new_frontier = dict(state.frontier)
         for d, f in tiling.items():
@@ -1110,12 +1172,13 @@ class SunstoneScheduler:
         stats: SchedulerStats,
     ) -> Iterator[_State]:
         decisions = self._step_space_bottom_up(state, level, orderings, stats)
+        base = self._base_sizes(state, level)
         # Placement feasibility is the capacity pruning pass of the step
         # space: children whose tile cannot fit its storage homes under
         # the boundary's replication are dropped (and counted).
         children = decisions.map(
             lambda triple: self._extend_bottom_up(
-                state, level, triple[0].order, triple[1], triple[2]),
+                state, level, triple[0].order, triple[1], triple[2], base),
         ).filter(lambda child: child is not None, "capacity", stats.prune)
         return children.enumerate(shard=self.options.shard)
 
@@ -1228,52 +1291,51 @@ class SunstoneScheduler:
             if extent > 1:
                 temporal[sink][d] = temporal[sink].get(d, 1) * extent
         spatial = [dict(s) for s in state.spatial]
+        covered = dict.fromkeys(self.workload.dims, 1)
+        for store in (temporal, spatial):
+            for factors in store:
+                for d, f in factors.items():
+                    covered[d] *= f
+        top = temporal[num - 1]
         for dim, size in self.workload.dims.items():
-            covered = 1
-            for i in range(num):
-                covered *= temporal[i].get(dim, 1)
-                covered *= spatial[i].get(dim, 1)
-            if size % covered != 0:
+            if size % covered[dim] != 0:
                 raise MappingError(
-                    f"factors of {dim} ({covered}) do not divide size {size}"
+                    f"factors of {dim} ({covered[dim]}) do not divide "
+                    f"size {size}"
                 )
-            residual = size // covered
+            residual = size // covered[dim]
             if residual > 1:
-                top = temporal[num - 1]
                 top[dim] = top.get(dim, 1) * residual
         return temporal, spatial
 
-    def _completion_nests(self, state: _State) -> tuple[tuple, tuple]:
+    def _completion_nests(
+        self,
+        state: _State,
+        factors: tuple[list[dict], list[dict]] | None = None,
+    ) -> tuple[tuple, tuple]:
         """The completed per-level nests ``_materialize`` would build,
         without the ``Mapping``: ``(nests, spatials)`` where ``nests``
         are temporal nest tuples (outermost first, trivial factors
         included) and ``spatials`` sorted spatial factor tuples — the
         exact ``LevelMapping`` contents of ``build_mapping``, so
         ``NestCohort.materialize`` on this payload reproduces
-        ``self._materialize(state)`` bit-for-bit.
+        ``self._materialize(state)`` bit-for-bit.  ``factors`` is
+        ``self._completion_factors(state)`` when the caller has it.
         """
         num = self.arch.num_levels
-        temporal, spatial = self._completion_factors(state)
+        temporal, spatial = (factors if factors is not None
+                             else self._completion_factors(state))
         dim_names = self.workload.dim_names
         nests = []
         spatials = []
         for i in range(num):
-            factors = temporal[i]
+            level = temporal[i]
             order = (list(state.orders[i]) if state.orders[i] is not None
                      else list(dim_names))
-            missing = [d for d in factors if d not in order]
-            nests.append(tuple((d, factors.get(d, 1))
-                               for d in order + missing))
+            order += [d for d in level if d not in order]
+            nests.append(tuple([(d, level.get(d, 1)) for d in order]))
             spatials.append(tuple(sorted(spatial[i].items())))
         return tuple(nests), tuple(spatials)
-
-    def _estimate(self, state: _State, stats: SchedulerStats
-                  ) -> tuple[float, Mapping, CostResult]:
-        mapping = self._materialize(state)
-        cost = self._get_engine().evaluate(mapping)
-        stats.evaluations += 1
-        value = cost.edp if self.options.objective == "edp" else cost.energy_pj
-        return value, mapping, cost
 
 
 def schedule(

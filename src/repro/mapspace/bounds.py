@@ -43,6 +43,11 @@ bound).  The final bound is scaled by ``1 - 1e-9`` so that exact-equality
 edge cases can never flip a strict comparison against the incumbent;
 searches prune only when ``bound > incumbent``, which preserves the
 first-attainer tie-break of every scan (docs/MAPSPACE.md).
+
+:meth:`BoundModel.block_bound` bounds a whole block of regions (e.g. the
+sibling prefixes of one branch-and-bound node) in one numpy pass, bit
+for bit equal to :meth:`BoundModel.region_bound` of each row; the scalar
+bound remains the numpy-free fallback and the block's test oracle.
 """
 
 from __future__ import annotations
@@ -52,6 +57,11 @@ from typing import TYPE_CHECKING, Mapping as TMapping, Sequence
 
 from ..model.terms import model_info
 from ..sparse.saf import compute_scales, traffic_scale
+
+try:  # numpy is optional; without it only the scalar bound exists.
+    import numpy as _np
+except ImportError:  # pragma: no cover - exercised on the no-numpy CI leg
+    _np = None
 
 if TYPE_CHECKING:
     from ..arch.spec import Architecture
@@ -172,6 +182,11 @@ class BoundModel:
         for i in range(num):
             below[i + 1] = below[i] * arch.levels[i].fanout
         self._tensors = []
+        # Per-tensor column plan of block_bound: the indexing dims' column
+        # indices, and each index expression as (outer column, stride,
+        # inner columns) — IndexExpr.extent over dim columns.
+        self._plans = []
+        col = info.dim_index
         for tinfo in info.tensors:
             ts = sparsity.get(tinfo.name) if sparsity is not None else None
             windowed = bool(partial_reuse and not tinfo.is_output
@@ -180,6 +195,11 @@ class BoundModel:
                                if d not in tinfo.indexing)
             share_cap = min(below[tinfo.innermost], nonidx)
             self._tensors.append((tinfo, ts, windowed, max(1, share_cap)))
+            self._plans.append((
+                sorted(col[d] for d in tinfo.indexing),
+                [(col[expr.dims[0]], expr.stride,
+                  [col[d] for d in expr.dims[1:]])
+                 for expr in tinfo.tensor.indices]))
         self._whole: float | None = None
         # Last-region memo: ProductSpace.bound asks every axis for the
         # same region, so the hooks would otherwise recompute it D times.
@@ -312,6 +332,153 @@ class BoundModel:
         # chip2chip link bandwidths; omitting it here only makes the
         # bound smaller, so it stays a sound lower bound.
         return energy * cycles * _SAFETY
+
+    def block_bound(self, t_factors, s_factors,
+                    free: TMapping[str, int] | None = None,
+                    free_min_level: int = 0):
+        """Bounds of ``n`` regions sharing one ``free``/``free_min_level``,
+        in one numpy pass (requires numpy).
+
+        ``t_factors`` / ``s_factors`` are int64 ``(n, levels, dims)``
+        arrays of decided temporal / spatial factors (dims in workload
+        order, 1 where undecided).  Element ``i`` of the returned float64
+        array is bit-identical to :meth:`region_bound` of row ``i``'s
+        region: the body replays :meth:`_region_bound`'s expression tree
+        element-wise — the same float64 operations in the same order,
+        ``np.where`` for the compulsory-cover maxima, ``np.maximum`` for
+        the cycle floors.  Integer products (factor prefixes, tile sizes,
+        footprints) are exact in int64, so their association is free;
+        every int -> float conversion happens where the scalar code
+        converts, and is exact for magnitudes below ``2**53``.
+        """
+        np = _np
+        info = self.info
+        arch = self.arch
+        num = info.num_levels
+        n = t_factors.shape[0]
+        free = {d: e for d, e in (free or {}).items() if e > 1}
+        reads: list = [0.0] * num
+        writes: list = [0.0] * num
+        energy = np.full(n, self.energy_ops * info.mac_energy)
+        s_level = s_factors.prod(axis=2)
+        sp_below = np.ones((n, num + 1), dtype=np.int64)
+        np.cumprod(s_level, axis=1, out=sp_below[:, 1:])
+        total_sp = sp_below[:, num]
+        t_cum = np.cumprod(t_factors, axis=1)
+        s_cum = np.cumprod(s_factors, axis=1)
+        t_total = t_cum[:, num - 1]
+        slack = self._block_slack(s_level, free_min_level) if free else None
+        sizes_cache: dict = {}
+        above_cache: dict = {}
+        spread_cache: dict = {}
+        for (tinfo, ts, windowed, share_cap), (idx_cols, exprs) in zip(
+                self._tensors, self._plans):
+            acc = self.energy_ops / share_cap
+            reads[tinfo.innermost] += acc
+            if tinfo.is_output:
+                writes[tinfo.innermost] += acc
+            if len(idx_cols) == len(info.dim_names):
+                idx_below = sp_below
+            else:
+                idx_below = np.ones((n, num + 1), dtype=np.int64)
+                np.cumprod(s_factors[:, :, idx_cols].prod(axis=2), axis=1,
+                           out=idx_below[:, 1:])
+            for child, parent in tinfo.pairs:
+                sizes = sizes_cache.get(child)
+                if sizes is None:
+                    sizes = t_cum[:, child]
+                    if child:
+                        sizes = sizes * s_cum[:, child - 1]
+                    sizes_cache[child] = sizes
+                fp = np.ones(n, dtype=np.int64)
+                for outer, stride, inner in exprs:
+                    span = (sizes[:, outer] - 1) * stride + 1
+                    for c in inner:
+                        span = span + (sizes[:, c] - 1)
+                    fp = fp * span
+                vol = fp.astype(np.float64)
+                if ts is not None:
+                    uniq, inverse = np.unique(fp, return_inverse=True)
+                    scales = np.array([traffic_scale(ts, v)
+                                       for v in uniq.tolist()],
+                                      dtype=np.float64)
+                    vol = vol * scales[inverse.reshape(-1)]
+                if not windowed:
+                    t_above = above_cache.get(child)
+                    if t_above is None:
+                        t_above = t_total // t_cum[:, child]
+                        above_cache[child] = t_above
+                    t_rel = 1.0
+                    for c in tinfo.rel_idx:
+                        t_rel = t_rel * t_above[:, c]
+                    if free and free_min_level > child:
+                        free_rel = 1
+                        for d in tinfo.rel_dims:
+                            free_rel *= free.get(d, 1)
+                        if free_rel > 1:
+                            t_rel = np.where(free_rel > slack,
+                                             t_rel * (free_rel / slack),
+                                             t_rel)
+                    vol = vol * t_rel
+                spread = spread_cache.get((child, parent))
+                if spread is None:
+                    spread = (total_sp // sp_below[:, parent],
+                              sp_below[:, parent] // sp_below[:, child])
+                    spread_cache[(child, parent)] = spread
+                above_min, between = spread
+                child_vol = vol * above_min * between
+                parent_vol = (vol * above_min
+                              * (idx_below[:, parent] // idx_below[:, child]))
+                if ts is None and not windowed:
+                    cover = tinfo.rel_total / self._instances[parent]
+                    parent_vol = np.where(cover > parent_vol, cover,
+                                          parent_vol)
+                    child_vol = np.where(cover > child_vol, cover, child_vol)
+                if tinfo.is_output:
+                    reads[child] = reads[child] + child_vol
+                    writes[parent] = writes[parent] + parent_vol
+                else:
+                    writes[child] = writes[child] + child_vol
+                    reads[parent] = reads[parent] + parent_vol
+                for j in range(child, parent):
+                    if j in info.fanout_set:
+                        energy = energy + parent_vol * info.network_energies[j]
+        for i in range(num):
+            energy = energy + (reads[i] * info.read_energies[i]
+                               + writes[i] * info.write_energies[i])
+        if self.objective == "energy":
+            return energy * _SAFETY
+        decided = s_level.prod(axis=1)
+        if not free:
+            lanes = np.minimum(self._lanes_cap, decided) * arch.mac_width
+            lanes = np.maximum(lanes, 1).astype(np.float64)
+        else:
+            free_total = math.prod(free.values())
+            lanes = np.maximum(
+                np.minimum(float(self._lanes_cap),
+                           decided * np.minimum(free_total, slack))
+                * arch.mac_width, 1)
+        cycles = float(self.cycle_ops) / lanes
+        for i, arch_level in enumerate(arch.levels):
+            inst = self._instances[i]
+            if arch_level.read_bandwidth != math.inf:
+                cycles = np.maximum(
+                    cycles, reads[i] / inst / arch_level.read_bandwidth)
+            if arch_level.write_bandwidth != math.inf:
+                cycles = np.maximum(
+                    cycles, writes[i] / inst / arch_level.write_bandwidth)
+        return energy * cycles * _SAFETY
+
+    def _block_slack(self, s_level, free_min_level: int):
+        """:meth:`_spatial_slack` per row of the ``(n, levels)``
+        per-level spatial products."""
+        slack = 1.0
+        for b in self.info.fanout_levels:
+            if b < free_min_level:
+                continue
+            slack = slack * (self.arch.levels[b].fanout
+                             / _np.maximum(1, s_level[:, b]))
+        return _np.maximum(1.0, slack)
 
     # ------------------------------------------------------------------
     # region geometry

@@ -80,10 +80,11 @@ class SearchStats:
     The per-stage profile (``--profile`` on the CLI, docs/PERF.md):
     ``stage_time_s`` buckets wall time by pipeline stage — ``"model"``
     (cost-model execution, scalar or vectorised), ``"generation"``
-    (candidate enumeration + materialisation), ``"cache"`` (fingerprint
-    + memo lookup/merge) and ``"pool"`` (process-pool dispatch including
-    pickling).  ``batched_evaluations`` counts how many of
-    ``evaluations`` went through the vectorised
+    (candidate enumeration + materialisation), ``"bound"``
+    (branch-and-bound region tests, when a search runs them),
+    ``"cache"`` (fingerprint + memo lookup/merge) and ``"pool"``
+    (process-pool dispatch including pickling).  ``batched_evaluations``
+    counts how many of ``evaluations`` went through the vectorised
     :func:`repro.model.batch.evaluate_batch` path, and the ``partial_*``
     counters mirror the term-level
     :class:`~repro.model.terms.PartialEvalCache`.

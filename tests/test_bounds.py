@@ -12,17 +12,24 @@ Two properties pin ``repro.mapspace.bounds``:
   directions, worker counts, shards and sparsity specs; the bound-free
   mappers (timeloop/gamma/cosa) are untouched.
 
-Plus the user-facing surface: the per-search optimality certificate on
+Plus the block bound (one numpy pass over many regions, bit-identical
+to the scalar bound), the search counters the bounds must never move,
+and the user-facing surface: the per-search optimality certificate on
 ``repro schedule`` output and in ``--stats-json``.
 """
 
 from __future__ import annotations
 
 import json
+import random
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import repro.baselines.exhaustive as exhaustive_mod
+from repro.arch import diannao_like, tiny, two_chiplet
 from repro.baselines.cosa import cosa_search
 from repro.baselines.dmazerunner import dmazerunner_search
 from repro.baselines.exhaustive import exhaustive_search
@@ -33,10 +40,16 @@ from repro.cli import main
 from repro.core.scheduler import SchedulerOptions, SunstoneScheduler
 from repro.mapspace import full_mapping_space
 from repro.mapspace.bounds import BoundModel, Region
+from repro.mapspace.factor import prime_factors
 from repro.search import SearchEngine, mapping_fingerprint
 from repro.sparse import SparsitySpec
 from repro.workloads import conv1d, mttkrp
 from tests import harness
+
+try:  # the block bound needs numpy; the no-numpy leg skips its test
+    import numpy as np
+except ImportError:  # pragma: no cover
+    np = None
 
 SPARSE_SPECS = {
     "dense": None,
@@ -130,6 +143,140 @@ def test_unassigned_region_bounds_the_whole_space():
     result = exhaustive_search(workload, arch, orders_per_level=2)
     assert result.found
     assert floor <= result.cost.edp
+
+
+# ---------------------------------------------------------------------------
+# block bounds: one numpy pass, bit-identical to the scalar bound
+# ---------------------------------------------------------------------------
+
+# Technology packs on the small machine, plus the two-chiplet preset
+# (chip2chip link, two fanout boundaries) and DianNao (per-role buffers).
+BLOCK_ARCHS = {
+    "tiny-cmos45": lambda: tiny(l1_words=64, l2_words=512, pes=4),
+    "tiny-cmos7": lambda: tiny(l1_words=64, l2_words=512, pes=4,
+                               tech="cmos7"),
+    "tiny-cryo": lambda: tiny(l1_words=64, l2_words=512, pes=4,
+                              tech="cryo"),
+    "diannao-cryo": lambda: diannao_like(tech="cryo"),
+    "two_chiplet": two_chiplet,
+}
+# MTTKRP carries the SPARSE_SPECS tensors; conv1d's ifmap is windowed.
+BLOCK_WORKLOADS = {
+    "mttkrp": lambda: mttkrp(8, 8, 4, 8),
+    "conv1d": lambda: conv1d(K=8, C=8, P=16, R=3),
+}
+_BLOCK_SETTINGS = dict(max_examples=12, deadline=None, derandomize=True)
+
+
+def _random_block(workload, arch, rng, rows, free):
+    """``rows`` regions deciding every dim outside ``free``: each prime
+    factor lands on a random temporal level or fanout boundary.  Returns
+    the per-row (temporal, spatial) dicts and the int64 factor grids."""
+    num, dims = arch.num_levels, workload.dim_names
+    boundaries = [i for i in range(num) if arch.levels[i].fanout > 1]
+    t_grid = np.ones((rows, num, len(dims)), dtype=np.int64)
+    s_grid = np.ones((rows, num, len(dims)), dtype=np.int64)
+    regions = []
+    for r in range(rows):
+        temporal = [{} for _ in range(num)]
+        spatial = [{} for _ in range(num)]
+        for k, d in enumerate(dims):
+            if d in free:
+                continue
+            for p in prime_factors(workload.dims[d]):
+                if boundaries and rng.random() < 0.4:
+                    level = rng.choice(boundaries)
+                    store, grid = spatial, s_grid
+                else:
+                    level = rng.randrange(num)
+                    store, grid = temporal, t_grid
+                store[level][d] = store[level].get(d, 1) * p
+                grid[r, level, k] *= p
+        regions.append((temporal, spatial))
+    return regions, t_grid, s_grid
+
+
+@pytest.mark.skipif(np is None, reason="the block bound needs numpy")
+@pytest.mark.parametrize("objective", ["edp", "energy"])
+@pytest.mark.parametrize("sparse_key", sorted(SPARSE_SPECS))
+@pytest.mark.parametrize("arch_key", sorted(BLOCK_ARCHS))
+@settings(**_BLOCK_SETTINGS)
+@given(workload_key=st.sampled_from(sorted(BLOCK_WORKLOADS)),
+       seed=st.integers(min_value=0, max_value=2**32 - 1),
+       rows=st.integers(min_value=1, max_value=9),
+       free_mask=st.integers(min_value=1, max_value=15),
+       free_min_level=st.integers(min_value=0, max_value=3))
+def test_block_bound_equals_scalar_bound(arch_key, sparse_key, objective,
+                                         workload_key, seed, rows,
+                                         free_mask, free_min_level):
+    """Every row of a block bound is ``==`` (not approx) the scalar
+    ``_region_bound`` of the same region, with and without free dims."""
+    workload = BLOCK_WORKLOADS[workload_key]()
+    arch = BLOCK_ARCHS[arch_key]()
+    model = BoundModel(workload, arch, objective=objective,
+                       sparsity=SPARSE_SPECS[sparse_key])
+    rng = random.Random(seed)
+    some_free = {d: workload.dims[d]
+                 for k, d in enumerate(workload.dim_names)
+                 if free_mask >> k & 1}
+    for free, min_level in (({}, arch.num_levels),
+                            (some_free, free_min_level)):
+        regions, t_grid, s_grid = _random_block(workload, arch, rng, rows,
+                                                free)
+        block = model.block_bound(t_grid, s_grid, free, min_level)
+        assert block.dtype == np.float64 and block.shape == (rows,)
+        for got, (temporal, spatial) in zip(block.tolist(), regions):
+            want = model._region_bound(
+                Region(temporal, spatial, free, min_level))
+            assert got == want, (temporal, spatial, free, min_level)
+
+
+def test_exhaustive_without_numpy_matches_block_bounds(monkeypatch):
+    """With numpy hidden the walk bounds every sibling through the scalar
+    ``Space.bound`` hook; evaluations, bound counters, certificate and
+    winner all match the block-bound walk exactly."""
+    workload = harness.tiny_mttkrp()
+    arch = harness.small_arch()
+    block = exhaustive_search(workload, arch, orders_per_level=2)
+    monkeypatch.setattr(exhaustive_mod, "_np", None)
+    scalar = exhaustive_search(workload, arch, orders_per_level=2)
+    harness.assert_same_search_result(block, scalar)
+    assert block.evaluations == scalar.evaluations
+    assert block.certificate == scalar.certificate
+    for stats in (block.search_stats, scalar.search_stats):
+        assert "bound" in stats.stage_time_s
+    assert (block.search_stats.to_dict()["bound"]
+            == scalar.search_stats.to_dict()["bound"])
+    assert block.search_stats.bound_regions_pruned > 0
+
+
+def test_sunstone_search_counters_are_pinned():
+    """One ResNet-18 layer on DianNao with the bound on: the counters
+    behind Table I's "candidates considered" are pinned exactly, so
+    memo or dedupe work in generation and the bound can never move
+    them silently."""
+    result = SunstoneScheduler(harness.resnet_conv_layer(),
+                               harness.resnet_conv_arch(),
+                               SchedulerOptions(bound=True)).schedule()
+    search = result.stats.search
+    assert {
+        "requests": search.requests,
+        "cache_hits": search.cache_hits,
+        "cache_misses": search.cache_misses,
+        "evaluations": search.evaluations,
+        "regions_tested": search.bound_regions_tested,
+        "regions_pruned": search.bound_regions_pruned,
+        "candidates_skipped": search.bound_candidates_skipped,
+    } == {
+        "requests": 5822,
+        "cache_hits": 5323,
+        "cache_misses": 499,
+        "evaluations": 499,
+        "regions_tested": 5740,
+        "regions_pruned": 6,
+        "candidates_skipped": 6,
+    }
+    assert search.stage_time_s["bound"] > 0.0
 
 
 # ---------------------------------------------------------------------------
