@@ -118,7 +118,7 @@ def exhaustive_search(
                     "generation", time.perf_counter() - gen_start)
                 if cohort is None:
                     break
-                costs = eng.evaluate_cohort(cohort)
+                costs = eng.evaluate_cohort(*cohort.distinct())
                 for idx, cost in enumerate(costs):
                     evaluations += 1
                     if not cost.valid:
@@ -261,7 +261,9 @@ def _branch_and_bound(
             cohort = decoder.decode(ks)
             stats.add_stage_time(
                 "generation", time.perf_counter() - gen_start)
-            costs = eng.evaluate_cohort(cohort)
+            # Fingerprint-equal rows collapse before the engine sees
+            # them; it still answers (and counts) one request per row.
+            costs = eng.evaluate_cohort(*cohort.distinct())
             for idx, cost in enumerate(costs):
                 evaluations += 1
                 if not cost.valid:

@@ -205,7 +205,8 @@ class _State:
     ``temporal[i]`` / ``spatial[i]`` hold decided factors per level (empty
     dict when undecided); ``orders[i]`` the decided nest order of level
     ``i``.  ``frontier`` tracks the per-dimension extents still to be
-    assigned at the undecided levels.
+    assigned at the undecided levels.  States share these dicts with
+    their parents and siblings, so they are never mutated.
     """
 
     temporal: tuple[dict[str, int], ...]
@@ -260,6 +261,9 @@ class SunstoneScheduler:
         # (level, tile sizes, unrolling): the step's children repeat a
         # few hundred distinct placements tens of thousands of times.
         self._fits_memo: dict[tuple, bool] = {}
+        # The current step's (state, tiling, unrolling) extensions; see
+        # ``_extend_bottom_up``.
+        self._extend_memo: dict[tuple, tuple] = {}
         # Evaluation engine: injected to share a result cache (and pool)
         # across searches, or built lazily from the options.
         self._engine = engine
@@ -652,27 +656,22 @@ class SunstoneScheduler:
                 continue
             level_start = time.perf_counter()
             self._fits_memo.clear()
+            self._extend_memo.clear()
             children: list[_State] = []
             for _, state in frontier:
                 children.extend(
                     self._children(state, level, orderings, stats, bottom_up))
-            nests: list[tuple[tuple, tuple]] | None = None
-            bound_s = 0.0
-            bound_model = self._bound_model()
-            if (bound_model is not None and best is not None
-                    and ordinal == len(steps) - 1):
-                # Final step only: these children feed nothing but the
-                # running best (the post-step frontier is never read
-                # again), so a child whose analytic floor strictly
-                # exceeds the incumbent provably cannot improve it —
-                # value >= floor > best-at-skip-time >= best at any later
-                # point of the scan — and is dropped before evaluation.
-                # Mid-sweep filtering would alter the beam frontier and
-                # is therefore never done.
-                children, nests, bound_s = self._bound_filter(
-                    bound_model, children, best[0], stats,
-                    with_nests=self.options.batch_gen)
-                engine.stats.add_stage_time("bound", bound_s)
+            remaining_steps = (num - 1 - level) if bottom_up else (level + 1)
+            if ordinal == len(steps) - 1:
+                best = self._final_step(children, stats, best, bottom_up,
+                                        remaining_steps, level_start)
+                engine.stats.add_level_time(
+                    self.arch.levels[level].name,
+                    time.perf_counter() - level_start)
+                # The final frontier is never read again (a resume
+                # starts after this step), so none is kept.
+                self._journal_level(phase, ordinal, level, [], best, stats)
+                break
             # Batch the whole level: the engine dedupes equal fingerprints
             # and vectorises (or fans out) the misses, returning results
             # in candidate order so ranking matches the serial path
@@ -682,20 +681,16 @@ class SunstoneScheduler:
             cohort: NestCohort | None = None
             mappings: list[Mapping] | None = None
             if self.options.batch_gen and len(children) >= 2:
-                if nests is None:
-                    nests = [self._completion_nests(child)
-                             for child in children]
-                cohort = NestCohort.from_nests(self.workload, self.arch,
-                                               nests)
+                cohort = NestCohort.from_nests(
+                    self.workload, self.arch,
+                    [self._completion_nests(child) for child in children])
                 engine.stats.add_stage_time(
-                    "generation",
-                    time.perf_counter() - level_start - bound_s)
+                    "generation", time.perf_counter() - level_start)
                 costs = engine.evaluate_cohort(cohort)
             else:
                 mappings = [self._materialize(child) for child in children]
                 engine.stats.add_stage_time(
-                    "generation",
-                    time.perf_counter() - level_start - bound_s)
+                    "generation", time.perf_counter() - level_start)
                 costs = engine.evaluate_many(mappings)
             stats.evaluations += len(children)
             scored: list[tuple[float, _State]] = []
@@ -726,63 +721,205 @@ class SunstoneScheduler:
                 self._journal_level(phase, ordinal, level, frontier,
                                     best, stats)
                 break
-            remaining_steps = (num - 1 - level) if bottom_up else (level + 1)
             frontier = self._prune(scored, stats, remaining_steps)
             self._journal_level(phase, ordinal, level, frontier, best, stats)
+        self._extend_memo.clear()
         engine.stats.prunes += stats.pruned_alpha_beta + stats.pruned_beam
 
         if best is not None:
             return best[1], best[2]
         return None
 
-    def _bound_filter(
+    def _final_step(
         self,
-        bound_model: BoundModel,
         children: list[_State],
-        incumbent: float,
         stats: SchedulerStats,
-        with_nests: bool,
-    ) -> tuple[list[_State], list[tuple[tuple, tuple]] | None, float]:
-        """Drop the children whose completion's analytic floor strictly
-        exceeds ``incumbent``.
+        best: tuple[float, Mapping, CostResult] | None,
+        bottom_up: bool,
+        remaining_steps: int,
+        step_start: float,
+    ) -> tuple[float, Mapping, CostResult] | None:
+        """Evaluate the last sweep step's children; return the new best.
 
-        Returns the kept children, their ``_completion_nests`` when
-        ``with_nests`` (built from the completion the bound already
-        made, which is then dropped), and the seconds spent bounding.
-        Completions repeat heavily across children, so each distinct
-        one is bounded once, keyed by its per-level factors in workload
-        dim order (absent and trivial factors both read 1, and neither
-        moves a bound).  Every child still counts as one region tested.
+        These children feed nothing but the running best, so the step
+        works per *completion group*: the children whose completions
+        emit the same ``_completion_nests`` (per-level factors and
+        effective orders) share one bound, one nest and one cohort row.
+        Each child still counts as one candidate and one engine request
+        (Table I counts candidates per child), and the winner is the
+        first arrival with the strict ``<`` of the other steps.
         """
-        num = self.arch.num_levels
-        dims = self.workload.dim_names
-        bnd = stats.prune.bound
+        engine = self._get_engine()
+        objective = self.options.objective
         clock = time.perf_counter
+        nests, completions, members, child_groups = \
+            self._completion_groups(children)
+
+        kept = [True] * len(nests)
         bound_s = 0.0
-        memo: dict[tuple, float] = {}
-        kept: list[_State] = []
-        nests: list[tuple[tuple, tuple]] = []
-        for child in children:
-            completion = self._completion_factors(child)
-            start = clock()
-            temporal, spatial = completion
-            key = tuple([t.get(d, 1) for t in temporal for d in dims]
+        bound_model = self._bound_model()
+        if bound_model is not None and best is not None:
+            # A child whose analytic floor strictly exceeds the incumbent
+            # provably cannot improve it — value >= floor > best-at-skip-
+            # time >= best at any later point of the scan — and is
+            # dropped before evaluation.  Mid-sweep filtering would alter
+            # the beam frontier and is therefore never done.  Groups
+            # share completions, and completions repeat factor regions,
+            # so each distinct region is bounded once, keyed by its
+            # per-level factors in workload dim order (absent and trivial
+            # factors both read 1, and neither moves a bound); every
+            # child still counts as one region tested.
+            bound_start = clock()
+            num = self.arch.num_levels
+            dims = self.workload.dim_names
+            bnd = stats.prune.bound
+            memo: dict[tuple, float] = {}
+            bound_of: dict[int, float] = {}
+            for g, completion in enumerate(completions):
+                value = bound_of.get(id(completion))
+                if value is None:
+                    temporal, spatial = completion
+                    key = tuple(
+                        [t.get(d, 1) for t in temporal for d in dims]
                         + [s.get(d, 1) for s in spatial for d in dims])
-            value = memo.get(key)
-            if value is None:
-                value = bound_model.region_bound(
-                    Region(temporal, spatial, {}, num))
-                memo[key] = value
-            bound_s += clock() - start
-            bnd.regions_tested += 1
-            if value > incumbent:
-                bnd.regions_pruned += 1
-                bnd.candidates_skipped += 1
+                    value = memo.get(key)
+                    if value is None:
+                        value = memo[key] = bound_model.region_bound(
+                            Region(temporal, spatial, {}, num))
+                    bound_of[id(completion)] = value
+                size = len(members[g])
+                bnd.regions_tested += size
+                if value > best[0]:
+                    kept[g] = False
+                    bnd.regions_pruned += size
+                    bnd.candidates_skipped += size
+            bound_s = clock() - bound_start
+            engine.stats.add_stage_time("bound", bound_s)
+
+        groups = [g for g in range(len(nests)) if kept[g]]
+        row_of = {g: row for row, g in enumerate(groups)}
+        rows_of = [row_of[g] for g in child_groups if kept[g]]
+        if self.options.batch_gen:
+            cohort = NestCohort.from_nests(self.workload, self.arch,
+                                           [nests[g] for g in groups])
+            engine.stats.add_stage_time(
+                "generation", clock() - step_start - bound_s)
+            costs = engine.evaluate_cohort(cohort, rows_of)
+            materialize = cohort.materialize
+        else:
+            mappings = [self._materialize(members[g][0]) for g in groups]
+            engine.stats.add_stage_time(
+                "generation", clock() - step_start - bound_s)
+            costs = engine.evaluate_many([mappings[row] for row in rows_of])
+            materialize = mappings.__getitem__
+        stats.evaluations += len(rows_of)
+
+        # Rows are numbered in first-arrival order, so scanning each
+        # row's first request visits the groups in arrival order.
+        ranked: list[tuple[float, list[_State]]] = []
+        seen = [False] * len(groups)
+        for i, row in enumerate(rows_of):
+            if seen[row]:
                 continue
-            kept.append(child)
-            if with_nests:
-                nests.append(self._completion_nests(child, completion))
-        return kept, (nests if with_nests else None), bound_s
+            seen[row] = True
+            cost = costs[i]
+            value = cost.edp if objective == "edp" else cost.energy_pj
+            if not cost.valid:
+                # Bottom-up invalid completions are never ranked; top-down
+                # estimates rank but cannot win.
+                if not bottom_up:
+                    ranked.append((value, members[groups[row]]))
+                continue
+            ranked.append((value, members[groups[row]]))
+            if best is None or value < best[0]:
+                best = (value, materialize(row), cost)
+        self._count_final_prunes(ranked, stats, remaining_steps)
+        return best
+
+    def _completion_groups(
+        self, children: list[_State],
+    ) -> tuple[list[tuple], list[tuple], list[list[_State]], list[int]]:
+        """Group ``children`` by the nests their completions emit.
+
+        Returns per group (in first-arrival order) its
+        ``_completion_nests`` and completion factors and its member
+        children, plus each child's group index.  Children placed from
+        one (state, tiling, unrolling) share their factor dicts
+        (``_extend_bottom_up``), so completions, and the nests of their
+        levels, are memoised on those objects' identities: every child
+        and completion stays alive for the whole call, so no id is
+        reused.
+        """
+        group_of: dict[tuple, int] = {}
+        nests: list[tuple[tuple, tuple]] = []
+        completions: list[tuple[list[dict], list[dict]]] = []
+        members: list[list[_State]] = []
+        child_groups: list[int] = []
+        completed: dict[tuple, tuple] = {}
+        level_nests: dict[tuple, tuple] = {}
+        for child in children:
+            key = (id(child.temporal), id(child.spatial), id(child.frontier),
+                   child.sink_level)
+            entry = completed.get(key)
+            if entry is None:
+                completion = self._completion_factors(child)
+                entry = completed[key] = (
+                    completion, self._spatial_nests(completion[1]))
+            completion, spatials = entry
+            parts = []
+            for level, order in zip(completion[0], child.orders):
+                part_key = (id(level), order)
+                part = level_nests.get(part_key)
+                if part is None:
+                    part = level_nests[part_key] = self._level_nest(level,
+                                                                    order)
+                parts.append(part)
+            nest = (tuple(parts), spatials)
+            g = group_of.get(nest)
+            if g is None:
+                g = group_of[nest] = len(nests)
+                nests.append(nest)
+                completions.append(completion)
+                members.append([])
+            members[g].append(child)
+            child_groups.append(g)
+        return nests, completions, members, child_groups
+
+    def _count_final_prunes(
+        self,
+        ranked: list[tuple[float, list[_State]]],
+        stats: SchedulerStats,
+        remaining_steps: int,
+    ) -> None:
+        """Add what ``_prune`` would drop from the final step's ranked
+        ``(value, group members)``, without sorting.
+
+        ``_prune`` ranks the distinct ``_state_key``s by value and keeps
+        the first ``floor`` plus every key within the alpha-beta cutoff.
+        Those within the cutoff form a prefix of the ranking, so with U
+        distinct keys, C of them within the cutoff, alpha-beta keeps
+        max(min(floor, U), C) and the beam trims that to its width.
+        Equal keys imply equal nests, so only multi-child groups need
+        their keys counted.
+        """
+        unique = 0
+        within = 0
+        alpha = min((value for value, _ in ranked), default=0.0)
+        cutoff = alpha * (self.options.alpha_slack ** max(1, remaining_steps))
+        for value, group in ranked:
+            distinct = (1 if len(group) == 1
+                        else len({_state_key(child) for child in group}))
+            unique += distinct
+            if value <= cutoff:
+                within += distinct
+        kept = unique
+        if self.options.alpha_beta and unique:
+            floor = self.options.beam_width or 0
+            kept = max(min(floor, unique), within)
+            stats.pruned_alpha_beta += unique - kept
+        width = self.options.beam_width
+        if width is not None and kept > width:
+            stats.pruned_beam += kept - width
 
     # ------------------------------------------------------------------
     # checkpoint (de)serialisation
@@ -1038,6 +1175,44 @@ class SunstoneScheduler:
         bottom-up partial schedule; None when the placement is infeasible.
         ``base`` is ``self._base_sizes(state, level)`` when the caller
         has it."""
+        # Children that differ only in the parent order share the
+        # placement verdict and the factor dicts (never mutated), so each
+        # (state, tiling, unrolling) is placed once per step.  The entry
+        # holds the key objects, so their ids cannot be reused meanwhile.
+        key = (id(state), level, id(tiling), id(unroll))
+        entry = self._extend_memo.get(key)
+        if entry is None:
+            entry = self._extend_memo[key] = (
+                state, tiling, unroll,
+                self._place_bottom_up(state, level, tiling, unroll, base))
+        placed = entry[3]
+        if placed is None:
+            return None
+        temporal, spatial, frontier = placed
+        orders = list(state.orders)
+        orders[level + 1] = order_nest
+        if orders[level] is None:
+            # The innermost nest order is irrelevant to upper levels; use
+            # the same ordering canonically.
+            orders[level] = order_nest
+        return _State(
+            temporal=temporal,
+            spatial=spatial,
+            orders=tuple(orders),
+            frontier=frontier,
+            sink_level=self.arch.num_levels - 1,
+        )
+
+    def _place_bottom_up(
+        self,
+        state: _State,
+        level: int,
+        tiling: dict[str, int],
+        unroll: dict[str, int],
+        base: dict[str, int] | None,
+    ) -> tuple[tuple, tuple, dict[str, int]] | None:
+        """The (temporal, spatial, frontier) of ``state`` with ``tiling``
+        and ``unroll`` placed at ``level``; None when they do not fit."""
         if base is None:
             base = self._base_sizes(state, level)
         # Bypassed tensors must still fit their upstream homes once the
@@ -1053,28 +1228,16 @@ class SunstoneScheduler:
             self._fits_memo[key] = fits
         if not fits:
             return None
-        new_frontier = dict(state.frontier)
+        frontier = dict(state.frontier)
         for d, f in tiling.items():
-            new_frontier[d] //= f
+            frontier[d] //= f
         for d, f in unroll.items():
-            new_frontier[d] //= f
+            frontier[d] //= f
         temporal = list(state.temporal)
         spatial = list(state.spatial)
-        orders = list(state.orders)
         temporal[level] = dict(tiling)
         spatial[level] = dict(unroll)
-        orders[level + 1] = order_nest
-        if orders[level] is None:
-            # The innermost nest order is irrelevant to upper levels; use
-            # the same ordering canonically.
-            orders[level] = order_nest
-        return _State(
-            temporal=tuple(temporal),
-            spatial=tuple(spatial),
-            orders=tuple(orders),
-            frontier=new_frontier,
-            sink_level=self.arch.num_levels - 1,
-        )
+        return tuple(temporal), tuple(spatial), frontier
 
     def _step_space_bottom_up(
         self,
@@ -1283,20 +1446,23 @@ class SunstoneScheduler:
         """The fully-decided per-level (temporal, spatial) factor dicts
         of the completion ``_materialize`` would build: frontier extents
         parked at the sink level, residual factors pushed to the top,
-        mirroring ``build_mapping``."""
+        mirroring ``build_mapping``.  Levels the completion leaves alone
+        share the state's dicts, so callers must not mutate them."""
         num = self.arch.num_levels
-        temporal = [dict(t) for t in state.temporal]
+        temporal = list(state.temporal)
         sink = state.sink_level
-        for d, extent in state.frontier.items():
-            if extent > 1:
-                temporal[sink][d] = temporal[sink].get(d, 1) * extent
-        spatial = [dict(s) for s in state.spatial]
+        parked = [(d, e) for d, e in state.frontier.items() if e > 1]
+        if parked:
+            level = temporal[sink] = dict(temporal[sink])
+            for d, extent in parked:
+                level[d] = level.get(d, 1) * extent
+        spatial = list(state.spatial)
         covered = dict.fromkeys(self.workload.dims, 1)
         for store in (temporal, spatial):
             for factors in store:
                 for d, f in factors.items():
                     covered[d] *= f
-        top = temporal[num - 1]
+        top = None
         for dim, size in self.workload.dims.items():
             if size % covered[dim] != 0:
                 raise MappingError(
@@ -1305,6 +1471,8 @@ class SunstoneScheduler:
                 )
             residual = size // covered[dim]
             if residual > 1:
+                if top is None:
+                    top = temporal[num - 1] = dict(temporal[num - 1])
                 top[dim] = top.get(dim, 1) * residual
         return temporal, spatial
 
@@ -1322,20 +1490,33 @@ class SunstoneScheduler:
         ``self._materialize(state)`` bit-for-bit.  ``factors`` is
         ``self._completion_factors(state)`` when the caller has it.
         """
-        num = self.arch.num_levels
         temporal, spatial = (factors if factors is not None
                              else self._completion_factors(state))
+        return (
+            tuple([self._level_nest(level, order)
+                   for level, order in zip(temporal, state.orders)]),
+            self._spatial_nests(spatial),
+        )
+
+    @staticmethod
+    def _spatial_nests(spatial: Sequence[dict[str, int]]) -> tuple:
+        """Per-level sorted spatial factor tuples, as ``build_mapping``
+        emits them."""
+        return tuple([tuple(sorted(factors.items())) for factors in spatial])
+
+    def _level_nest(self, level: dict[str, int],
+                    order: tuple[str, ...] | None) -> tuple:
+        """One level's temporal nest as ``build_mapping`` emits it: the
+        level's factors (trivial ones included) in loop order."""
         dim_names = self.workload.dim_names
-        nests = []
-        spatials = []
-        for i in range(num):
-            level = temporal[i]
-            order = (list(state.orders[i]) if state.orders[i] is not None
-                     else list(dim_names))
+        if order is None:
+            order = dim_names
+        if len(order) != len(dim_names):
+            # Orders are permutations of the dims; a shorter one is
+            # followed by the level's other dims, as build_mapping does.
+            order = list(order)
             order += [d for d in level if d not in order]
-            nests.append(tuple([(d, level.get(d, 1)) for d in order]))
-            spatials.append(tuple(sorted(spatial[i].items())))
-        return tuple(nests), tuple(spatials)
+        return tuple([(d, level.get(d, 1)) for d in order])
 
 
 def schedule(

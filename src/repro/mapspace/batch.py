@@ -82,26 +82,32 @@ class Cohort:
                       sparsity, partial_cache):
         """Vectorized evaluation of the selected rows (in order), or
         ``None`` when the geometry path is unavailable."""
-        geom = self.geometry()
-        if geom is None:
+        staged = self._stage_rows(indices)
+        if staged is None:
             return None
         from ..model.batch import evaluate_geometry
-        t_mat, s_mat, order_ids, order_table = geom
-        idx = _np.asarray(list(indices), dtype=_np.int64)
         return evaluate_geometry(
-            self.workload, self.arch,
-            t_mat[idx], s_mat[idx], order_ids[idx], order_table,
+            self.workload, self.arch, *staged,
             partial_reuse=partial_reuse, sparsity=sparsity,
             partial_cache=partial_cache,
         )
 
+    def _stage_rows(self, indices: Sequence[int]):
+        """``geometry()`` restricted to the selected rows, or ``None``."""
+        geom = self.geometry()
+        if geom is None:
+            return None
+        t_mat, s_mat, order_ids, order_table = geom
+        idx = _np.asarray(list(indices), dtype=_np.int64)
+        return t_mat[idx], s_mat[idx], order_ids[idx], order_table
+
 
 def _nontrivial_temporal(nest: Sequence[tuple[str, int]]) -> tuple:
-    return tuple((d, f) for d, f in nest if f > 1)
+    return tuple([(d, f) for d, f in nest if f > 1])
 
 
 def _nontrivial_spatial(pairs: Sequence[tuple[str, int]]) -> tuple:
-    return tuple(sorted((d, f) for d, f in pairs if f > 1))
+    return tuple(sorted([(d, f) for d, f in pairs if f > 1]))
 
 
 class NestCohort(Cohort):
@@ -131,10 +137,10 @@ class NestCohort(Cohort):
 
     def fingerprint_levels(self, i: int) -> tuple:
         nests, spatials = self._candidates[i]
-        return tuple(
+        return tuple([
             (_nontrivial_temporal(nest), _nontrivial_spatial(spatial))
             for nest, spatial in zip(nests, spatials)
-        )
+        ])
 
     def materialize(self, i: int) -> Mapping:
         nests, spatials = self._candidates[i]
@@ -145,21 +151,32 @@ class NestCohort(Cohort):
         return Mapping(self.workload, self.arch, levels)
 
     def geometry(self):
-        if self._geometry_built:
-            return self._geometry
-        self._geometry_built = True
-        if _np is None or not self._candidates:
-            return None
+        if not self._geometry_built:
+            self._geometry_built = True
+            if _np is not None and self._candidates:
+                self._geometry = self._stage(self._candidates)
+        return self._geometry
+
+    def _stage_rows(self, indices: Sequence[int]):
+        """Without staged geometry, stage only the selected rows: a
+        sweep cohort's cache misses are a fraction of its rows."""
+        if _np is None or self._geometry_built:
+            return super()._stage_rows(indices)
+        rows = [self._candidates[i] for i in indices]
+        return self._stage(rows) if rows else None
+
+    def _stage(self, candidates: Sequence[tuple]):
+        """``(t_mat, s_mat, order_ids, order_table)`` of ``candidates``."""
         dims = self.workload.dim_names
         pos = {d: j for j, d in enumerate(dims)}
         num = self.arch.num_levels
-        n = len(self._candidates)
+        n = len(candidates)
         t_mat = _np.ones((n, num, len(dims)), dtype=_np.int64)
         s_mat = _np.ones((n, num, len(dims)), dtype=_np.int64)
         order_ids = _np.empty(n, dtype=_np.int64)
         combo_ids: dict[tuple, int] = {}
         order_table: list[tuple] = []
-        for i, (nests, spatials) in enumerate(self._candidates):
+        for i, (nests, spatials) in enumerate(candidates):
             seqs = tuple(tuple(d for d, _ in nest) for nest in nests)
             combo = combo_ids.get(seqs)
             if combo is None:
@@ -174,8 +191,7 @@ class NestCohort(Cohort):
                 for d, f in spatial:
                     if f != 1:
                         s_mat[i, level, pos[d]] = f
-        self._geometry = (t_mat, s_mat, order_ids, order_table)
-        return self._geometry
+        return t_mat, s_mat, order_ids, order_table
 
 
 class MatrixCohort(Cohort):
@@ -189,29 +205,40 @@ class MatrixCohort(Cohort):
         self._s_mat = s_mat
         self._order_ids = order_ids
         self._order_table = order_table
-        # python-int row views for exact fingerprints / materialization
-        self._t_rows = t_mat.tolist()
-        self._s_rows = s_mat.tolist()
-        self._order_id_list = order_ids.tolist()
+        # python-int row views for exact fingerprints, built on the
+        # first fingerprint (a cohort that is only grouped by
+        # :meth:`distinct` never pays for them)
+        self._t_rows = None
 
     def __len__(self) -> int:
-        return len(self._t_rows)
+        return len(self._t_mat)
+
+    def _level_rows(self, i: int):
+        """Row ``i`` as python ints: (per-level orders, t row, s row)."""
+        if self._t_rows is None:
+            return (self._order_table[int(self._order_ids[i])],
+                    self._t_mat[i].tolist(), self._s_mat[i].tolist())
+        return (self._order_table[self._order_id_list[i]],
+                self._t_rows[i], self._s_rows[i])
 
     def fingerprint_levels(self, i: int) -> tuple:
-        dims = self.workload.dim_names
-        pos = {d: j for j, d in enumerate(dims)}
-        sorted_dims = sorted(dims)
-        orders = self._order_table[self._order_id_list[i]]
-        t_row = self._t_rows[i]
-        s_row = self._s_rows[i]
+        if self._t_rows is None:
+            self._t_rows = self._t_mat.tolist()
+            self._s_rows = self._s_mat.tolist()
+            self._order_id_list = self._order_ids.tolist()
+            dims = self.workload.dim_names
+            self._pos = {d: j for j, d in enumerate(dims)}
+            self._sorted_cols = [(d, self._pos[d]) for d in sorted(dims)]
+        pos = self._pos
+        orders, t_row, s_row = self._level_rows(i)
         out = []
         for level in range(self.arch.num_levels):
             t_level = t_row[level]
             s_level = s_row[level]
-            nest = tuple((d, t_level[pos[d]]) for d in orders[level]
-                         if t_level[pos[d]] > 1)
-            spatial = tuple((d, s_level[pos[d]]) for d in sorted_dims
-                            if s_level[pos[d]] > 1)
+            nest = tuple([(d, t_level[pos[d]]) for d in orders[level]
+                          if t_level[pos[d]] > 1])
+            spatial = tuple([(d, s_level[j]) for d, j in self._sorted_cols
+                             if s_level[j] > 1])
             out.append((nest, spatial))
         return tuple(out)
 
@@ -219,9 +246,7 @@ class MatrixCohort(Cohort):
         dims = self.workload.dim_names
         pos = {d: j for j, d in enumerate(dims)}
         sorted_dims = sorted(dims)
-        orders = self._order_table[self._order_id_list[i]]
-        t_row = self._t_rows[i]
-        s_row = self._s_rows[i]
+        orders, t_row, s_row = self._level_rows(i)
         levels = []
         for level in range(self.arch.num_levels):
             t_level = t_row[level]
@@ -235,6 +260,55 @@ class MatrixCohort(Cohort):
     def geometry(self):
         return (self._t_mat, self._s_mat, self._order_ids,
                 self._order_table)
+
+    def distinct(self) -> tuple["MatrixCohort", list[int]]:
+        """Collapse fingerprint-equal rows: ``(unique, rows_of)``.
+
+        ``unique`` holds the first row of every distinct fingerprint, in
+        first-occurrence order, and row ``i`` of this cohort is row
+        ``rows_of[i]`` of ``unique`` — the request map of
+        :meth:`~repro.search.engine.SearchEngine.evaluate_cohort`.  A
+        row is keyed on its t row, its s row and, per level, each
+        nontrivial dim's rank among that level's nontrivial loops (-1
+        for trivial dims): exactly what ``fingerprint_levels`` keeps,
+        so keys and fingerprints match one-to-one.
+        """
+        t_mat, s_mat = self._t_mat, self._s_mat
+        n, num, ndims = t_mat.shape
+        # position of each dim in each level's loop order, per order combo
+        index = {d: j for j, d in enumerate(self.workload.dim_names)}
+        where = _np.zeros((len(self._order_table), num, ndims),
+                          dtype=_np.int64)
+        for combo, seqs in enumerate(self._order_table):
+            for level, seq in enumerate(seqs):
+                for p, d in enumerate(seq):
+                    where[combo, level, index[d]] = p
+        loops = where[self._order_ids]
+        active = t_mat > 1
+        # rank = how many active loops of the level sit before this one
+        before = (loops[:, :, None, :] < loops[:, :, :, None]) \
+            & active[:, :, None, :]
+        rank = _np.where(active, before.sum(axis=3), -1)
+        keys = _np.concatenate([t_mat.reshape(n, -1), s_mat.reshape(n, -1),
+                                rank.reshape(n, -1)], axis=1)
+        # Each key as one opaque byte string, in the narrowest int type
+        # that holds it: np.unique sorts those far faster than rows.
+        top = int(keys.max()) if n else 0
+        narrow = next(t for t in (_np.int8, _np.int16, _np.int32, _np.int64)
+                      if top <= _np.iinfo(t).max)
+        keys = _np.ascontiguousarray(keys, dtype=narrow)
+        keys = keys.view(_np.dtype((_np.void, keys.shape[1]
+                                    * keys.itemsize))).reshape(n)
+        _, first, inverse = _np.unique(keys, return_index=True,
+                                       return_inverse=True)
+        order = _np.argsort(first)
+        renumber = _np.empty(len(order), dtype=_np.int64)
+        renumber[order] = _np.arange(len(order))
+        rows = first[order]
+        unique = MatrixCohort(self.workload, self.arch, t_mat[rows],
+                              s_mat[rows], self._order_ids[rows],
+                              self._order_table)
+        return unique, renumber[inverse.reshape(-1)].tolist()
 
 
 class SpaceDecoder:

@@ -438,7 +438,9 @@ class SearchEngine:
         return (wl_fp, entry[1], cohort.fingerprint_levels(i),
                 bool(self.partial_reuse), self.sparsity)
 
-    def evaluate_cohort(self, cohort) -> list[CostResult]:
+    def evaluate_cohort(
+        self, cohort, rows_of: Sequence[int] | None = None,
+    ) -> list[CostResult]:
         """Evaluate a :class:`repro.mapspace.batch.Cohort` end-to-end.
 
         The streaming twin of :meth:`evaluate_many`: identical cache
@@ -446,12 +448,22 @@ class SearchEngine:
         times, identical results — but candidates arrive as geometry
         matrices and ``Mapping`` objects are only built on the scalar
         fallback (no numpy, fault injection, or a 1-row cohort).
+
+        ``rows_of`` maps requests to rows: request ``i`` is cohort row
+        ``rows_of[i]`` (default: one request per row).  The call is
+        request-exact — results, every counter, the cache's LRU order
+        and evictions all equal evaluating the expanded cohort with one
+        row per request — but each row is fingerprinted once, and a
+        cache miss is evaluated once per row, in first-request order.
+        Without a cache every request is evaluated, as for the expanded
+        cohort.
         """
         start = time.perf_counter()
         self.stats.batches += 1
-        n = len(cohort)
+        requests = range(len(cohort)) if rows_of is None else rows_of
+        n = len(requests)
         if self.cache is None:
-            results = self._run_cohort(cohort, list(range(n)))
+            results = self._run_cohort(cohort, list(requests))
             self.stats.evaluations += n
             self.stats.wall_time_s += time.perf_counter() - start
             return results
@@ -460,9 +472,12 @@ class SearchEngine:
         todo: list[int] = []
         todo_keys: list[Fingerprint] = []
         waiters: dict[Fingerprint, list[int]] = {}
+        row_keys: list[Fingerprint | None] = [None] * len(cohort)
         cache_start = time.perf_counter()
-        for i in range(n):
-            key = self._cohort_fingerprint(cohort, i)
+        for i, row in enumerate(requests):
+            key = row_keys[row]
+            if key is None:
+                key = row_keys[row] = self._cohort_fingerprint(cohort, row)
             pending = waiters.get(key)
             if pending is not None:
                 pending.append(i)
@@ -473,7 +488,7 @@ class SearchEngine:
                 self.stats.cache_hits += 1
                 continue
             waiters[key] = [i]
-            todo.append(i)
+            todo.append(row)
             todo_keys.append(key)
         self.stats.add_stage_time("cache",
                                   time.perf_counter() - cache_start)

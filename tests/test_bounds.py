@@ -250,33 +250,60 @@ def test_exhaustive_without_numpy_matches_block_bounds(monkeypatch):
     assert block.search_stats.bound_regions_pruned > 0
 
 
-def test_sunstone_search_counters_are_pinned():
-    """One ResNet-18 layer on DianNao with the bound on: the counters
-    behind Table I's "candidates considered" are pinned exactly, so
-    memo or dedupe work in generation and the bound can never move
-    them silently."""
-    result = SunstoneScheduler(harness.resnet_conv_layer(),
-                               harness.resnet_conv_arch(),
-                               SchedulerOptions(bound=True)).schedule()
-    search = result.stats.search
-    assert {
-        "requests": search.requests,
-        "cache_hits": search.cache_hits,
-        "cache_misses": search.cache_misses,
-        "evaluations": search.evaluations,
-        "regions_tested": search.bound_regions_tested,
-        "regions_pruned": search.bound_regions_pruned,
-        "candidates_skipped": search.bound_candidates_skipped,
-    } == {
-        "requests": 5822,
-        "cache_hits": 5323,
-        "cache_misses": 499,
-        "evaluations": 499,
-        "regions_tested": 5740,
-        "regions_pruned": 6,
+# Counters of one ResNet-18 layer on DianNao, bound on, per engine
+# setting and sweep direction.  ``requests`` is one per candidate (Table
+# I); hits and misses split it by the cache; evictions and misses move
+# with the cache size; the bound and prune counters must not move at all.
+_PINNED_SEARCHES = {
+    "bottom-up": ({}, {
+        "requests": 5822, "cache_hits": 5323, "cache_misses": 499,
+        "evaluations": 499, "cache_evictions": 0, "prunes": 5672,
+        "regions_tested": 5740, "regions_pruned": 6,
         "candidates_skipped": 6,
-    }
-    assert search.stage_time_s["bound"] > 0.0
+    }),
+    "bottom-up, no cache": ({"cache": False}, {
+        "requests": 5822, "cache_hits": 0, "cache_misses": 0,
+        "evaluations": 5822, "cache_evictions": 0, "prunes": 5672,
+        "regions_tested": 5740, "regions_pruned": 6,
+        "candidates_skipped": 6,
+    }),
+    "bottom-up, cache of 64": ({"cache_size": 64}, {
+        "requests": 5822, "cache_hits": 5319, "cache_misses": 503,
+        "evaluations": 503, "cache_evictions": 439, "prunes": 5672,
+        "regions_tested": 5740, "regions_pruned": 6,
+        "candidates_skipped": 6,
+    }),
+    "top-down": ({"direction": "top-down"}, {
+        "requests": 3434, "cache_hits": 2277, "cache_misses": 1157,
+        "evaluations": 1157, "cache_evictions": 0, "prunes": 3274,
+        "regions_tested": 2118, "regions_pruned": 6,
+        "candidates_skipped": 6,
+    }),
+}
+
+
+def test_sunstone_search_counters_are_pinned():
+    """The counters behind Table I's "candidates considered" are pinned
+    exactly, so memo or dedupe work in generation, the bound and the
+    engine can never move them silently — with or without a cache, and
+    under a cache small enough to evict."""
+    for case, (overrides, pinned) in _PINNED_SEARCHES.items():
+        result = SunstoneScheduler(
+            harness.resnet_conv_layer(), harness.resnet_conv_arch(),
+            SchedulerOptions(bound=True, **overrides)).schedule()
+        search = result.stats.search
+        assert {
+            "requests": search.requests,
+            "cache_hits": search.cache_hits,
+            "cache_misses": search.cache_misses,
+            "evaluations": search.evaluations,
+            "cache_evictions": search.cache_evictions,
+            "prunes": search.prunes,
+            "regions_tested": search.bound_regions_tested,
+            "regions_pruned": search.bound_regions_pruned,
+            "candidates_skipped": search.bound_candidates_skipped,
+        } == pinned, case
+        assert search.stage_time_s["bound"] > 0.0, case
 
 
 # ---------------------------------------------------------------------------

@@ -40,6 +40,7 @@ from repro.mapspace.mapspace import assignment_slots
 from repro.mapspace.tile import TileSpace
 from repro.mapspace.unroll import UnrollSpace
 from repro.search import SearchEngine, mapping_fingerprint
+from repro.sparse import SparsitySpec
 from tests import harness
 
 SEEDS = (None, 9)
@@ -227,6 +228,41 @@ def test_full_space_cohort_shards_interleave_exactly(count):
             part.extend(mapping_fingerprint(cohort.materialize(i))
                         for i in range(len(cohort)))
         assert part == scalar[index::count]
+
+
+_CSR_SKIPPING = SparsitySpec.from_densities(
+    {"B": 0.3, "C": 0.6}, formats={"B": "csr"}, actions={"B": "skipping"})
+
+
+@pytest.mark.skipif(not HAVE_NUMPY, reason="needs numpy")
+@pytest.mark.parametrize("orders_per_level,sparsity,shard", [
+    (1, None, None),
+    (2, None, None),
+    (2, _CSR_SKIPPING, None),
+    (2, None, (1, 3)),
+])
+def test_matrix_cohort_distinct_groups_like_fingerprints(
+        orders_per_level, sparsity, shard):
+    """``MatrixCohort.distinct`` groups decoded rows exactly as their
+    fingerprints do: one unique row per distinct fingerprint, the first
+    occurrence, in first-occurrence order, and ``rows_of`` points every
+    row at the unique row with its fingerprint."""
+    workload = harness.medium_mttkrp()
+    arch = harness.small_arch()
+    engine = SearchEngine(sparsity=sparsity)
+    blocks = full_space_cohorts(workload, arch, orders_per_level,
+                                shard=shard, batch_size=400)
+    for cohort in itertools.islice(blocks, 3):
+        unique, rows_of = cohort.distinct()
+        keys = [engine._cohort_fingerprint(cohort, i)
+                for i in range(len(cohort))]
+        first = list(dict.fromkeys(keys))
+        assert [engine._cohort_fingerprint(unique, j)
+                for j in range(len(unique))] == first
+        assert [first[j] for j in rows_of] == keys
+        firsts = [keys.index(key) for key in first]
+        assert ([unique.materialize(j).levels for j in range(len(unique))]
+                == [cohort.materialize(i).levels for i in firsts])
 
 
 # ---------------------------------------------------------------------------

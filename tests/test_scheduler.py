@@ -1,6 +1,8 @@
 """Tests for the Sunstone scheduler (§III-C, §V-C)."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.arch import UNIFIED, Architecture, MemoryLevel, conventional, simba_like, tiny
 from repro.baselines import exhaustive_search
@@ -10,7 +12,9 @@ from repro.core import (
     SunstoneScheduler,
     schedule,
 )
+from repro.core.scheduler import SchedulerStats, _State
 from repro.workloads import RESNET18_LAYERS, conv1d, conv2d, mttkrp
+from tests import harness
 
 # ``small_conv`` / ``small_arch`` fixtures come from tests/conftest.py
 # (built by tests/harness.py, shared with the batch-generation suite).
@@ -164,6 +168,43 @@ class TestPruningKnobs:
         relaxed = schedule(small_conv, small_arch, SchedulerOptions(
             utilization_threshold=0.5))
         assert relaxed.found
+
+
+def _member(group: int, variant: int) -> _State:
+    """A final-step child of completion group ``group``; equal variants
+    are equal decisions (equal ``_state_key``)."""
+    return _State(temporal=({"K": group + 1, "C": variant + 1},),
+                  spatial=({},), orders=(("K", "C"),), frontier={},
+                  sink_level=0)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(
+    groups=st.lists(
+        st.tuples(st.sampled_from([1.0, 2.0, 3.0, 4.0, 9.0, float("inf")]),
+                  st.lists(st.integers(0, 2), min_size=1, max_size=4)),
+        max_size=10),
+    beam=st.sampled_from([None, 1, 2, 5, 48]),
+    alpha_beta=st.booleans(),
+    remaining=st.integers(1, 2),
+)
+def test_final_step_prune_counts_match_ranking(groups, beam, alpha_beta,
+                                               remaining):
+    """The final step adds to ``pruned_alpha_beta``/``pruned_beam``
+    exactly what ``_prune`` would drop from its children, counted per
+    completion group (equal decisions repeat inside a group)."""
+    scheduler = SunstoneScheduler(
+        harness.small_conv(), harness.small_arch(),
+        SchedulerOptions(beam_width=beam, alpha_beta=alpha_beta))
+    ranked = [(value, [_member(g, v) for v in variants])
+              for g, (value, variants) in enumerate(groups)]
+    ranking = SchedulerStats()
+    scheduler._prune([(value, child) for value, members in ranked
+                      for child in members], ranking, remaining)
+    counted = SchedulerStats()
+    scheduler._count_final_prunes(ranked, counted, remaining)
+    assert (counted.pruned_alpha_beta, counted.pruned_beam) == \
+        (ranking.pruned_alpha_beta, ranking.pruned_beam)
 
 
 class TestArchitectures:

@@ -13,6 +13,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.arch import UNIFIED, Architecture, MemoryLevel, tiny
 from repro.baselines import TimeloopConfig, timeloop_search
@@ -21,8 +23,10 @@ from repro.core import SchedulerOptions, SunstoneScheduler, schedule
 from repro.core.network import schedule_network
 from repro.mapping import build_mapping
 from repro.mapping.serialize import mapping_to_dict
+from repro.mapspace.batch import NestCohort
 from repro.model import count_accesses, evaluate, simulate_fills
 from repro.search import EvalCache, SearchEngine
+from repro.serve.cache import SeedCache
 from repro.workloads import conv1d, conv2d, mttkrp
 from tests import harness
 
@@ -412,3 +416,74 @@ def test_empty_batch_is_fine():
     engine = SearchEngine(workers=2, cache=True)
     assert engine.evaluate_batch([]) == []
     engine.close()
+
+
+# ---------------------------------------------------------------------------
+# evaluate_cohort request maps: request-exact against the expanded cohort
+# ---------------------------------------------------------------------------
+
+def _nest_rows(count, seed):
+    """``count`` random candidates as NestCohort rows, with row 0 repeated
+    as the last row (a fingerprint shared by two rows)."""
+    workload, arch = _EQUIVALENCE_CASES[0]
+    rng = random.Random(seed)
+    rows = []
+    for _ in range(count):
+        mapping = sample_random_mapping(workload, arch, rng)
+        rows.append((tuple(level.temporal for level in mapping.levels),
+                     tuple(level.spatial for level in mapping.levels)))
+    return workload, arch, rows + rows[:1]
+
+
+def _cost_fields(cost):
+    return (cost.valid, cost.energy_pj, cost.cycles, cost.edp)
+
+
+def _engine_for(cache_kind, seed_entries):
+    if cache_kind == "none":
+        return SearchEngine(workers=1, cache=False)
+    size = 3 if cache_kind == "3-entry" else 0
+    return SearchEngine(workers=1,
+                        cache=SeedCache(seed_entries, max_entries=size),
+                        cache_size=size or None)
+
+
+def _engine_state(engine):
+    stats = engine.stats.to_dict()
+    for key in ("wall_time_s", "stage_time_s", "level_wall_time_s"):
+        stats.pop(key)
+    cache = engine.cache
+    if cache is None:
+        return stats, None
+    return stats, (list(cache._entries), cache.evictions, cache.seed_hits)
+
+
+@settings(max_examples=15, deadline=None, derandomize=True)
+@given(batches=st.lists(
+    st.lists(st.integers(min_value=0, max_value=5), max_size=12),
+    min_size=1, max_size=3))
+@pytest.mark.parametrize("cache_kind", ["unbounded", "3-entry", "none"])
+def test_evaluate_cohort_rows_of_matches_expanded_cohort(cache_kind,
+                                                         batches):
+    """``evaluate_cohort(cohort, rows_of)`` answers every request exactly
+    as the expanded one-row-per-request cohort would: same results, same
+    counters, same LRU order, evictions and seed hits."""
+    workload, arch, rows = _nest_rows(5, seed=11)
+    # The seed holds the results of rows 1 and 4.
+    with SearchEngine(workers=1) as seeder:
+        seeded = NestCohort(workload, arch, [rows[1], rows[4]])
+        seed_entries = [
+            (seeder._cohort_fingerprint(seeded, i), cost)
+            for i, cost in enumerate(seeder.evaluate_cohort(seeded))]
+    mapped = _engine_for(cache_kind, seed_entries)
+    expanded = _engine_for(cache_kind, seed_entries)
+    cohort = NestCohort(workload, arch, rows)
+    for rows_of in batches:
+        got = mapped.evaluate_cohort(cohort, rows_of)
+        want = expanded.evaluate_cohort(
+            NestCohort(workload, arch, [rows[r] for r in rows_of]))
+        assert [_cost_fields(c) for c in got] == \
+            [_cost_fields(c) for c in want]
+        assert _engine_state(mapped) == _engine_state(expanded)
+    mapped.close()
+    expanded.close()
