@@ -28,13 +28,35 @@ Quickstart::
 
 __version__ = "1.0.0"
 
-from . import analysis, arch, baselines, core, energy, mapping, model, noc, search, sim, workloads
-from .arch import conventional, diannao_like, simba_like
-from .core import SchedulerOptions, SunstoneScheduler, schedule
-from .mapping import Mapping, build_mapping, render_nest
-from .model import evaluate
-from .search import EvalCache, SearchEngine, SearchStats
-from .workloads import Workload, conv1d, conv2d, mmc, mttkrp, sddmm, tcl, ttmc
+import importlib
+
+_SUBPACKAGES = {"analysis", "arch", "baselines", "core", "energy", "mapping",
+                "model", "noc", "search", "sim", "workloads"}
+# Re-exported name -> the subpackage that defines it.
+_EXPORTS = {
+    **dict.fromkeys(("conventional", "diannao_like", "simba_like"), "arch"),
+    **dict.fromkeys(("SchedulerOptions", "SunstoneScheduler", "schedule"),
+                    "core"),
+    **dict.fromkeys(("Mapping", "build_mapping", "render_nest"), "mapping"),
+    "evaluate": "model",
+    **dict.fromkeys(("EvalCache", "SearchEngine", "SearchStats"), "search"),
+    **dict.fromkeys(("Workload", "conv1d", "conv2d", "mmc", "mttkrp",
+                     "sddmm", "tcl", "ttmc"), "workloads"),
+}
+
+
+def __getattr__(name: str):
+    """Import subpackages and re-exports on first access (PEP 562), so
+    a command pays only for the code it runs."""
+    if name in _SUBPACKAGES:
+        return importlib.import_module(f"{__name__}.{name}")
+    if name in _EXPORTS:
+        value = getattr(importlib.import_module(
+            f"{__name__}.{_EXPORTS[name]}"), name)
+        globals()[name] = value
+        return value
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "analysis",

@@ -11,6 +11,7 @@ from ..mapspace.mapspace import spatial_boundaries
 from ..search import (
     MappingOutcome,
     SearchStats,
+    certificate_from_bound,
     engine_scope,
     resolve_engine,
 )
@@ -46,20 +47,6 @@ class SearchResult(MappingOutcome):
     # Branch-and-bound certificate: {"lower_bound", "best_value",
     # "gap_pct"} when the search ran with analytic bounds enabled.
     certificate: dict | None = None
-
-
-def certificate_from_bound(bound_stats) -> dict | None:
-    """Build a ``SearchResult.certificate`` dict from a
-    :class:`~repro.mapspace.spaces.BoundStats` record (``None`` when the
-    search ran without bounds or found nothing)."""
-    if bound_stats is None or bound_stats.lower_bound is None:
-        return None
-    cert = {"lower_bound": bound_stats.lower_bound,
-            "best_value": bound_stats.best_value}
-    gap = bound_stats.gap_pct()
-    if gap is not None:
-        cert["gap_pct"] = gap
-    return cert
 
 
 def random_factor_split(

@@ -14,7 +14,8 @@ space is traversed as a DFS over per-dimension factor-split prefixes,
 and each prefix region is tested against the incumbent via the analytic
 :class:`~repro.mapspace.bounds.BoundModel`: a node's sibling prefixes
 are bounded in one :meth:`~repro.mapspace.bounds.BoundModel.block_bound`
-pass (bit-identical to the scalar bound), or one by one through the
+pass (bit-identical to the scalar bound; a small subtree's prefixes in
+one pass per depth, see ``SUBTREE_ROWS``), or one by one through the
 :meth:`Space.bound` hook when numpy is absent.  A pruned prefix discards
 every completion —
 all remaining split choices *times* all ``P**num_levels`` loop-order
@@ -48,6 +49,11 @@ try:  # numpy is optional; the scalar walk covers its absence.
     import numpy as _np
 except ImportError:  # pragma: no cover
     _np = None
+
+
+# A branch-and-bound node whose remaining subtree holds at most this many
+# prefixes bounds all of them in one block per depth.
+SUBTREE_ROWS = 1 << 14
 
 
 class SearchBudgetExceeded(RuntimeError):
@@ -320,11 +326,14 @@ def _branch_and_bound(
     prefix: list[tuple[int, ...]] = []
 
     if _np is not None:
-        # Block bounds: each node bounds all of its children in one
-        # numpy pass (bit-identical to the scalar region bound).  A row
-        # is the (levels, dims) temporal/spatial factor grid of one
-        # prefix: the parent's grid with column ``k`` set from dim
-        # ``k``'s lattice rows scattered into their slots.
+        # Block bounds: a node bounds its children in one numpy pass
+        # (bit-identical to the scalar region bound).  A row is the
+        # (levels, dims) temporal/spatial factor grid of one prefix: the
+        # parent's grid with column ``k`` set from dim ``k``'s lattice
+        # rows scattered into their slots.  A node whose whole subtree
+        # fits SUBTREE_ROWS bounds every depth below it at once, one
+        # block per depth, and hands each child its slice; a block of a
+        # few rows costs far more per row than one large block.
         t_slots = [i for i, (kind, _) in enumerate(slots) if kind == "t"]
         s_slots = [i for i, (kind, _) in enumerate(slots) if kind == "s"]
         t_levels = [slots[i][1] for i in t_slots]
@@ -339,20 +348,32 @@ def _branch_and_bound(
             columns.append((t_col, s_col))
         free_after = [{d: workload.dims[d] for d in dims[k + 1:]}
                       for k in range(len(dims))]
+        # subtree[k]: prefixes below a depth-k node, over all depths.
+        subtree = [0] * (len(dims) + 1)
+        for k in range(len(dims) - 1, -1, -1):
+            subtree[k] = len(lattice_items[k]) * (1 + subtree[k + 1])
 
-        def kid_bounds(k: int, rows):
-            t_col, s_col = columns[k]
-            t_grid = _np.repeat(rows[0][None], len(t_col), axis=0)
-            s_grid = _np.repeat(rows[1][None], len(s_col), axis=0)
-            t_grid[:, :, k] = t_col
-            s_grid[:, :, k] = s_col
-            values = model.block_bound(t_grid, s_grid, free_after[k])
-            return values.tolist(), lambda j: (t_grid[j], s_grid[j])
+        def bounds_below(k: int, rows):
+            depth = len(dims) if subtree[k] <= SUBTREE_ROWS else k + 1
+            t_grid, s_grid = rows[0][None], rows[1][None]
+            levels = []
+            for j in range(k, depth):
+                t_col, s_col = columns[j]
+                reps = len(t_grid)
+                t_grid = _np.repeat(t_grid, len(t_col), axis=0)
+                s_grid = _np.repeat(s_grid, len(s_col), axis=0)
+                t_grid[:, :, j] = _np.tile(t_col, (reps, 1))
+                s_grid[:, :, j] = _np.tile(s_col, (reps, 1))
+                levels.append(model.block_bound(
+                    t_grid, s_grid, free_after[j]).tolist())
+            if depth > k + 1:
+                return levels, None
+            return levels, lambda j: (t_grid[j], s_grid[j])
 
         root = (_np.ones((num, len(dims)), dtype=_np.int64),
                 _np.ones((num, len(dims)), dtype=_np.int64))
     else:
-        def kid_bounds(k: int, rows):
+        def bounds_below(k: int, rows):
             values = []
             for split in lattice_items[k]:
                 prefix.append(split)
@@ -361,23 +382,33 @@ def _branch_and_bound(
                 prefix.pop()
                 values.append(space.bound(objective,
                                           BoundContext(model, region)))
-            return values, lambda j: None
+            return [values], None
 
         root = None
 
-    def walk(k: int, base: int, rows) -> None:
+    def walk(k: int, base: int, rows, below) -> None:
+        """Visit the depth-``k`` node at enumeration offset ``base``:
+        ``rows`` is its factor grid, ``below`` its subtree's bounds per
+        depth when an ancestor computed them (else ``None``)."""
         if k == len(dims):
             first = base + ((shard_index - base) % shard_count)
             if first < base + block:
                 emit_leaf(base, first)
             return
         stride = tail[k + 1]
-        bound_start = time.perf_counter()
-        values, child_rows = kid_bounds(k, rows)
-        stats.add_stage_time("bound", time.perf_counter() - bound_start)
-        stats.bound_regions_tested += len(values)
+        child_rows = None
+        if below is None:
+            bound_start = time.perf_counter()
+            below, child_rows = bounds_below(k, rows)
+            stats.add_stage_time("bound", time.perf_counter() - bound_start)
+        values = below[0]
+        count = len(values)
+        # Counted where a node is visited, as if it bounded its children.
+        stats.bound_regions_tested += count
+        # Each child's slice of every deeper depth's bounds.
+        spans = [(level, len(level) // count) for level in below[1:]]
         # Ascending (bound, j): a stable sort of the in-order indices.
-        order = sorted(range(len(values)), key=values.__getitem__)
+        order = sorted(range(count), key=values.__getitem__)
         for pos, j in enumerate(order):
             # Strict >: a region whose bound merely equals the incumbent
             # could still hold an equal-value candidate that outranks the
@@ -391,10 +422,18 @@ def _branch_and_bound(
                         base + j2 * stride, stride)
                 return
             prefix.append(lattice_items[k][j])
-            walk(k + 1, base + j * stride, child_rows(j))
+            walk(k + 1, base + j * stride,
+                 child_rows(j) if child_rows is not None else None,
+                 [level[j * w:(j + 1) * w] for level, w in spans] or None)
             prefix.pop()
 
-    walk(0, 0, root)
+    try:
+        walk(0, 0, root, None)
+    finally:
+        # ``walk`` recurses through its own closure cell: dropping the
+        # name breaks that cycle, so the engine, its cache and every
+        # result are freed by refcount once the search returns.
+        del walk
     flush()
     certificate = {"lower_bound": model.space_bound()}
     if best is not None:

@@ -33,15 +33,6 @@ from .arch import (
     tiny,
     two_chiplet,
 )
-from .baselines import (
-    TIMELOOP_FAST,
-    cosa_search,
-    dmazerunner_search,
-    interstellar_search,
-    timeloop_search,
-)
-from .baselines.common import certificate_from_bound
-from .baselines.gamma import gamma_search
 from .core import SchedulerOptions, schedule
 from .mapping import render_nest
 from .mapping.serialize import (
@@ -57,6 +48,7 @@ from .search import (
     JournalError,
     SearchEngine,
     atomic_write_json,
+    certificate_from_bound,
     flush_active_journals,
 )
 from .sparse import SparsityError, SparsitySpec, spec_from_cli
@@ -342,6 +334,14 @@ def compare_runners(workload: Workload, arch: Architecture,
     pre-warmed engine for the Sunstone row only — the baselines always
     build their own, keeping their exact cold configuration.
     """
+    from .baselines import (
+        TIMELOOP_FAST,
+        cosa_search,
+        dmazerunner_search,
+        gamma_search,
+        interstellar_search,
+        timeloop_search,
+    )
     workers, cache = options.workers, options.cache
     sparsity, batch = options.sparsity, options.batch
     batch_gen, cache_size = options.batch_gen, options.cache_size

@@ -109,6 +109,9 @@ def enumerate_unrollings(
             current.pop(dim, None)
 
     recurse(0, {}, 1, 0)
+    # ``recurse`` refers to itself through its closure; dropping the
+    # name breaks that cycle, so ``stats`` is freed by refcount.
+    del recurse
 
     if not results:
         stats.candidates += 1

@@ -126,6 +126,10 @@ class NestCohort(Cohort):
         self._candidates = list(candidates)
         self._geometry = None
         self._geometry_built = False
+        # (id(nest), id(spatial)) -> that level's fingerprint part.  The
+        # final sweep step shares level nests and spatial tuples across
+        # rows; the candidates keep them alive, so no id is reused.
+        self._parts: dict[tuple[int, int], tuple] = {}
 
     @classmethod
     def from_nests(cls, workload: Workload, arch: Architecture,
@@ -137,10 +141,16 @@ class NestCohort(Cohort):
 
     def fingerprint_levels(self, i: int) -> tuple:
         nests, spatials = self._candidates[i]
-        return tuple([
-            (_nontrivial_temporal(nest), _nontrivial_spatial(spatial))
-            for nest, spatial in zip(nests, spatials)
-        ])
+        parts = self._parts
+        out = []
+        for nest, spatial in zip(nests, spatials):
+            key = (id(nest), id(spatial))
+            part = parts.get(key)
+            if part is None:
+                part = parts[key] = (_nontrivial_temporal(nest),
+                                     _nontrivial_spatial(spatial))
+            out.append(part)
+        return tuple(out)
 
     def materialize(self, i: int) -> Mapping:
         nests, spatials = self._candidates[i]
@@ -205,48 +215,66 @@ class MatrixCohort(Cohort):
         self._s_mat = s_mat
         self._order_ids = order_ids
         self._order_table = order_table
-        # python-int row views for exact fingerprints, built on the
-        # first fingerprint (a cohort that is only grouped by
-        # :meth:`distinct` never pays for them)
-        self._t_rows = None
+        # Per level: each row's part index and the distinct
+        # ``(nest, spatial)`` parts, built on the first fingerprint (a
+        # cohort that is only grouped by :meth:`distinct` never pays).
+        self._parts = None
 
     def __len__(self) -> int:
         return len(self._t_mat)
 
-    def _level_rows(self, i: int):
-        """Row ``i`` as python ints: (per-level orders, t row, s row)."""
-        if self._t_rows is None:
-            return (self._order_table[int(self._order_ids[i])],
-                    self._t_mat[i].tolist(), self._s_mat[i].tolist())
-        return (self._order_table[self._order_id_list[i]],
-                self._t_rows[i], self._s_rows[i])
+    def _build_parts(self) -> list[tuple[list[int], list[tuple]]]:
+        """Each level's distinct (loop order, t row, s row) keys, found
+        with ``np.unique``, and one ``(nest, spatial)`` part per key."""
+        t_mat, s_mat = self._t_mat, self._s_mat
+        num = self.arch.num_levels
+        dims = self.workload.dim_names
+        pos = {d: j for j, d in enumerate(dims)}
+        sorted_cols = [(d, pos[d]) for d in sorted(dims)]
+        # per level: loop-order sequence -> order id
+        level_orders: list[dict] = [{} for _ in range(num)]
+        combo_orders = _np.zeros((len(self._order_table), num),
+                                 dtype=_np.int64)
+        for combo, seqs in enumerate(self._order_table):
+            for level, seq in enumerate(seqs):
+                ids = level_orders[level]
+                combo_orders[combo, level] = ids.setdefault(seq, len(ids))
+        row_orders = combo_orders[self._order_ids]
+        parts = []
+        for level in range(num):
+            keys = _np.concatenate([row_orders[:, level:level + 1],
+                                    t_mat[:, level], s_mat[:, level]],
+                                   axis=1)
+            _, first, inverse = _np.unique(_row_keys(keys),
+                                           return_index=True,
+                                           return_inverse=True)
+            orders = list(level_orders[level])
+            level_parts = []
+            for row in first.tolist():
+                order = orders[int(row_orders[row, level])]
+                t_level = t_mat[row, level].tolist()
+                s_level = s_mat[row, level].tolist()
+                level_parts.append((
+                    tuple([(d, t_level[pos[d]]) for d in order
+                           if t_level[pos[d]] > 1]),
+                    tuple([(d, s_level[j]) for d, j in sorted_cols
+                           if s_level[j] > 1])))
+            parts.append((inverse.reshape(-1).tolist(), level_parts))
+        return parts
 
     def fingerprint_levels(self, i: int) -> tuple:
-        if self._t_rows is None:
-            self._t_rows = self._t_mat.tolist()
-            self._s_rows = self._s_mat.tolist()
-            self._order_id_list = self._order_ids.tolist()
-            dims = self.workload.dim_names
-            self._pos = {d: j for j, d in enumerate(dims)}
-            self._sorted_cols = [(d, self._pos[d]) for d in sorted(dims)]
-        pos = self._pos
-        orders, t_row, s_row = self._level_rows(i)
-        out = []
-        for level in range(self.arch.num_levels):
-            t_level = t_row[level]
-            s_level = s_row[level]
-            nest = tuple([(d, t_level[pos[d]]) for d in orders[level]
-                          if t_level[pos[d]] > 1])
-            spatial = tuple([(d, s_level[j]) for d, j in self._sorted_cols
-                             if s_level[j] > 1])
-            out.append((nest, spatial))
-        return tuple(out)
+        if self._parts is None:
+            self._parts = self._build_parts()
+        return tuple([level_parts[rows[i]]
+                      for rows, level_parts in self._parts])
 
     def materialize(self, i: int) -> Mapping:
         dims = self.workload.dim_names
         pos = {d: j for j, d in enumerate(dims)}
         sorted_dims = sorted(dims)
-        orders, t_row, s_row = self._level_rows(i)
+        orders = self._order_table[int(self._order_ids[i])]
+        t_row = self._t_mat[i].tolist()
+        s_row = self._s_mat[i].tolist()
         levels = []
         for level in range(self.arch.num_levels):
             t_level = t_row[level]
@@ -291,15 +319,7 @@ class MatrixCohort(Cohort):
         rank = _np.where(active, before.sum(axis=3), -1)
         keys = _np.concatenate([t_mat.reshape(n, -1), s_mat.reshape(n, -1),
                                 rank.reshape(n, -1)], axis=1)
-        # Each key as one opaque byte string, in the narrowest int type
-        # that holds it: np.unique sorts those far faster than rows.
-        top = int(keys.max()) if n else 0
-        narrow = next(t for t in (_np.int8, _np.int16, _np.int32, _np.int64)
-                      if top <= _np.iinfo(t).max)
-        keys = _np.ascontiguousarray(keys, dtype=narrow)
-        keys = keys.view(_np.dtype((_np.void, keys.shape[1]
-                                    * keys.itemsize))).reshape(n)
-        _, first, inverse = _np.unique(keys, return_index=True,
+        _, first, inverse = _np.unique(_row_keys(keys), return_index=True,
                                        return_inverse=True)
         order = _np.argsort(first)
         renumber = _np.empty(len(order), dtype=_np.int64)
@@ -309,6 +329,19 @@ class MatrixCohort(Cohort):
                               s_mat[rows], self._order_ids[rows],
                               self._order_table)
         return unique, renumber[inverse.reshape(-1)].tolist()
+
+
+def _row_keys(keys):
+    """Each row of the int matrix ``keys`` (entries >= -1) as one opaque
+    byte string, in the narrowest int type that holds it: ``np.unique``
+    sorts those far faster than rows."""
+    n = len(keys)
+    top = int(keys.max()) if n else 0
+    narrow = next(t for t in (_np.int8, _np.int16, _np.int32, _np.int64)
+                  if top <= _np.iinfo(t).max)
+    keys = _np.ascontiguousarray(keys, dtype=narrow)
+    return keys.view(_np.dtype((_np.void, keys.shape[1]
+                                * keys.itemsize))).reshape(n)
 
 
 class SpaceDecoder:

@@ -100,16 +100,20 @@ class TileSpace(LazySpace):
         stats: TilingStats | None = None,
     ) -> None:
         self.workload = workload
-        self.growth = tuple(growth)
+        self.growth = growth = tuple(growth)
 
+        # ``build`` closes over locals, never ``self``: a thunk that
+        # refers back to its space would make every space a reference
+        # cycle, left for the cyclic collector instead of freed by
+        # refcount when its search ends.
         def build() -> list[dict[str, int]]:
             tilings = enumerate_tilings(
-                workload, arch, level, base, remaining, self.growth,
+                workload, arch, level, base, remaining, growth,
                 stats=stats,
             )
             if cap is not None and len(tilings) > cap:
                 tilings = cap_tilings_by_footprint(
-                    tilings, cap, workload, base, self.growth)
+                    tilings, cap, workload, base, growth)
             return tilings
 
         super().__init__(build)

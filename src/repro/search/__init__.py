@@ -12,7 +12,7 @@ from .checkpoint import (
 )
 from .engine import SearchEngine, engine_scope, resolve_engine
 from .faults import FaultPlan, InjectedFault, plan_from_env
-from .result import MappingOutcome
+from .result import MappingOutcome, certificate_from_bound
 from .fingerprint import (
     architecture_fingerprint,
     mapping_fingerprint,
@@ -33,6 +33,7 @@ __all__ = [
     "SearchStats",
     "architecture_fingerprint",
     "atomic_write_json",
+    "certificate_from_bound",
     "engine_scope",
     "flush_active_journals",
     "mapping_fingerprint",

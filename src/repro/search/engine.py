@@ -31,8 +31,10 @@ docs/PERF.md walks the full pipeline.
 
 from __future__ import annotations
 
+import gc
 import math
 import os
+import threading
 import time
 from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
 from concurrent.futures import TimeoutError as FuturesTimeout
@@ -694,6 +696,50 @@ def resolve_engine(
                         cache_size=cache_size), True
 
 
+# The cyclic collector is paused while any search runs.  A search
+# allocates millions of short-lived tuples, dicts and results; each
+# collection walks every tracked object, memo tables included, and
+# finds almost nothing, because search internals hold no reference
+# cycles and are freed by refcount.  Nested scopes and concurrent
+# searches (serve runs tasks on threads) share one refcounted pause.
+_gc_lock = threading.Lock()
+_gc_depth = 0
+_gc_was_enabled = False
+
+
+def _pause_gc() -> None:
+    global _gc_depth, _gc_was_enabled
+    with _gc_lock:
+        if _gc_depth == 0:
+            _gc_was_enabled = gc.isenabled()
+            gc.disable()
+        _gc_depth += 1
+
+
+def _resume_gc() -> None:
+    global _gc_depth
+    with _gc_lock:
+        _gc_depth -= 1
+        if _gc_depth == 0 and _gc_was_enabled:
+            gc.enable()
+
+
+def _reset_gc_in_child() -> None:
+    """A forked child (a pool or fleet worker) runs no scope of its
+    parent's: give it a fresh lock and the collector state the parent
+    had before its outermost scope."""
+    global _gc_lock, _gc_depth
+    _gc_lock = threading.Lock()
+    if _gc_depth:
+        _gc_depth = 0
+        if _gc_was_enabled:
+            gc.enable()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_reset_gc_in_child)
+
+
 @contextmanager
 def engine_scope(
     engine: SearchEngine | None,
@@ -706,11 +752,18 @@ def engine_scope(
 ) -> Iterator[SearchEngine]:
     """Engine lifecycle as a context manager: reuse an injected engine
     (left open for its owner) or build one and close it on exit, even on
-    error.  ``engine.stats`` remains readable after close."""
+    error.  ``engine.stats`` remains readable after close.
+
+    The cyclic garbage collector is paused process-wide from the
+    outermost scope's entry to its exit, and then left as it was."""
     resolved, owns = resolve_engine(engine, workers, cache, partial_reuse,
                                     sparsity, batch, cache_size)
+    _pause_gc()
     try:
         yield resolved
     finally:
-        if owns:
-            resolved.close()
+        try:
+            if owns:
+                resolved.close()
+        finally:
+            _resume_gc()

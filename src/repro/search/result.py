@@ -43,3 +43,17 @@ class MappingOutcome:
         if self.cost is None:
             return float("inf")
         return self.cost.energy_pj
+
+
+def certificate_from_bound(bound_stats) -> dict | None:
+    """Build a ``certificate`` dict from a
+    :class:`~repro.mapspace.spaces.BoundStats` record (``None`` when the
+    search ran without bounds or found nothing)."""
+    if bound_stats is None or bound_stats.lower_bound is None:
+        return None
+    cert = {"lower_bound": bound_stats.lower_bound,
+            "best_value": bound_stats.best_value}
+    gap = bound_stats.gap_pct()
+    if gap is not None:
+        cert["gap_pct"] = gap
+    return cert

@@ -31,7 +31,7 @@ from ..mapping.serialize import (
     mapping_to_dict,
     workload_from_dict,
 )
-from ..search import SearchEngine
+from ..search import SearchEngine, certificate_from_bound
 from .cache import SeedCache
 from .protocol import build_sparsity_spec
 
@@ -79,7 +79,6 @@ def _scheduler_options(task: dict) -> SchedulerOptions:
 
 
 def _outcome_doc(result) -> dict:
-    from ..baselines.common import certificate_from_bound
     return {
         "found": result.found,
         "mapping": mapping_to_dict(result.mapping) if result.found else None,

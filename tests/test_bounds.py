@@ -250,6 +250,45 @@ def test_exhaustive_without_numpy_matches_block_bounds(monkeypatch):
     assert block.search_stats.bound_regions_pruned > 0
 
 
+# Exhaustive rows of the subtree-budget equivalence test: workload and
+# search arguments, over the small two-level machine.
+_SUBTREE_CASES = {
+    "mttkrp": (harness.tiny_mttkrp, {}),
+    "conv1d windowed": (harness.small_conv, {}),
+    "csr-skipping": (harness.tiny_mttkrp,
+                     {"sparsity": SPARSE_SPECS["csr-skipping"]}),
+    "shard 1/3": (harness.tiny_mttkrp, {"shard": (1, 3)}),
+}
+
+
+def _search_counters(result) -> dict:
+    stats = result.search_stats
+    return {"evaluations": result.evaluations,
+            "requests": stats.requests, "cache_hits": stats.cache_hits,
+            "cache_misses": stats.cache_misses,
+            "bound": stats.to_dict()["bound"],
+            "certificate": result.certificate}
+
+
+@pytest.mark.skipif(np is None, reason="subtree blocks need numpy")
+@pytest.mark.parametrize("case", list(_SUBTREE_CASES))
+def test_exhaustive_subtree_budget_changes_nothing(monkeypatch, case):
+    """Bounding whole subtrees in one block per depth (every node, with a
+    budget past the whole tree) and bounding each node's children on
+    their own (a budget of 0) give the same winner, evaluations, engine
+    and bound counters and certificate."""
+    build, kwargs = _SUBTREE_CASES[case]
+    results = []
+    for budget in (0, 1 << 62):
+        monkeypatch.setattr(exhaustive_mod, "SUBTREE_ROWS", budget)
+        results.append(exhaustive_search(build(), harness.small_arch(),
+                                         orders_per_level=2, **kwargs))
+    per_node, whole = results
+    harness.assert_same_search_result(per_node, whole)
+    assert _search_counters(per_node) == _search_counters(whole)
+    assert per_node.search_stats.bound_regions_tested > 0
+
+
 # Counters of one ResNet-18 layer on DianNao, bound on, per engine
 # setting and sweep direction.  ``requests`` is one per candidate (Table
 # I); hits and misses split it by the cache; evictions and misses move

@@ -1,6 +1,11 @@
 """Tests for the command-line interface."""
 
 import json
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -183,3 +188,50 @@ class TestStatsJson:
         assert doc["totals"]["energy_pj"] > 0
         assert len(doc["layers"]) == 1
         assert doc["layers"][0]["cost"]["valid"] is True
+
+
+_SRC = str(Path(__file__).resolve().parent.parent / "src")
+_NETWORK = {"name": "toy", "layers": [
+    {"type": "conv2d", "name": "c1",
+     "dims": {"N": 1, "K": 4, "C": 4, "P": 7, "Q": 7, "R": 3, "S": 3}},
+    {"type": "conv2d", "name": "c2",
+     "dims": {"N": 1, "K": 4, "C": 4, "P": 7, "Q": 7, "R": 3, "S": 3}},
+]}
+# Loaded only by the commands that use them.
+_LAZY = ["repro.serve", "repro.sim", "repro.baselines.gamma"]
+
+
+def _python(code: str, *args: str) -> str:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [_SRC] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    done = subprocess.run([sys.executable, "-c", code, *args], env=env,
+                          capture_output=True, text=True, timeout=120,
+                          check=True)
+    return done.stdout
+
+
+def test_cli_import_leaves_command_modules_unloaded():
+    out = _python("import sys, repro.cli\n"
+                  f"print([m for m in {_LAZY!r} if m in sys.modules])")
+    assert out.strip() == "[]"
+
+
+def test_network_output_does_not_depend_on_import_order(tmp_path):
+    """The lazy package prints the same network report as one whose
+    subpackages were all imported up front."""
+    model = tmp_path / "net.json"
+    model.write_text(json.dumps(_NETWORK))
+    run = ("import sys\n{pre}\nfrom repro.cli import main\n"
+           "sys.exit(main(['network', sys.argv[1], '--arch', 'tiny']))")
+    eager = ("import importlib, repro\n"
+             "for name in sorted(repro._SUBPACKAGES):\n"
+             "    importlib.import_module('repro.' + name)")
+    lazy = _python(run.format(pre=""), str(model))
+    full = _python(run.format(pre=eager), str(model))
+
+    def untimed(text: str) -> str:
+        return re.sub(r"\d+\.\d+s\b", "<t>", text)
+
+    assert "shared with c1" in lazy
+    assert untimed(lazy) == untimed(full)

@@ -15,9 +15,10 @@ from __future__ import annotations
 import itertools
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import repro.core.scheduler as scheduler_mod
 from repro.arch import conventional, tiny
 from repro.baselines.dmazerunner import dmazerunner_search
 from repro.baselines.exhaustive import exhaustive_search
@@ -263,6 +264,73 @@ def test_matrix_cohort_distinct_groups_like_fingerprints(
         firsts = [keys.index(key) for key in first]
         assert ([unique.materialize(j).levels for j in range(len(unique))]
                 == [cohort.materialize(i).levels for i in firsts])
+
+
+_FINGERPRINT_PROBLEMS = {
+    "mttkrp/tiny": (harness.medium_mttkrp, harness.small_arch),
+    "conv1d/tiny": (harness.small_conv, harness.small_arch),
+    "mttkrp/conventional": (harness.tiny_mttkrp, conventional),
+    "resnet conv/diannao": (harness.resnet_conv_layer,
+                            harness.resnet_conv_arch),
+}
+
+
+def _assert_parts_match_fingerprints(cohort):
+    for i in range(len(cohort)):
+        assert (cohort.fingerprint_levels(i)
+                == mapping_fingerprint(cohort.materialize(i))[2]), i
+
+
+@pytest.mark.skipif(not HAVE_NUMPY, reason="needs numpy")
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(problem=st.sampled_from(["mttkrp/tiny", "conv1d/tiny",
+                                 "mttkrp/conventional"]),
+       orders_per_level=st.sampled_from([1, 2, 3]),
+       shard=st.sampled_from([None, (0, 2), (1, 3)]),
+       batch_size=st.sampled_from([1, 37, 400]),
+       block=st.integers(min_value=0, max_value=4))
+def test_matrix_cohort_fingerprint_parts_match_mapping_fingerprint(
+        problem, orders_per_level, shard, batch_size, block):
+    """Per-level fingerprint parts, built once per distinct (order, t
+    row, s row) key, give every decoded row, and every row of its
+    ``distinct()`` cohort, the levels ``mapping_fingerprint`` builds."""
+    workload, arch = (build() for build in _FINGERPRINT_PROBLEMS[problem])
+    blocks = full_space_cohorts(workload, arch, orders_per_level,
+                                shard=shard, batch_size=batch_size)
+    cohort = next(itertools.islice(blocks, block, None), None)
+    assume(cohort is not None)
+    unique, _ = cohort.distinct()
+    _assert_parts_match_fingerprints(cohort)
+    _assert_parts_match_fingerprints(unique)
+
+
+@settings(max_examples=8, deadline=None, derandomize=True)
+@given(problem=st.sampled_from(sorted(_FINGERPRINT_PROBLEMS)),
+       direction=st.sampled_from(["bottom-up", "top-down"]))
+def test_nest_cohort_fingerprint_parts_match_mapping_fingerprint(
+        problem, direction):
+    """Every row of every sweep cohort, the final step's included, has
+    the fingerprint levels of the ``Mapping`` it materializes, although
+    the final step's rows share level nests and parts are memoised on
+    their identity."""
+    workload, arch = (build() for build in _FINGERPRINT_PROBLEMS[problem])
+    cohorts = []
+
+    class Recording(NestCohort):
+        def __init__(self, *args) -> None:
+            super().__init__(*args)
+            cohorts.append(self)
+
+    original = scheduler_mod.NestCohort
+    scheduler_mod.NestCohort = Recording
+    try:
+        SunstoneScheduler(workload, arch,
+                          SchedulerOptions(direction=direction)).schedule()
+    finally:
+        scheduler_mod.NestCohort = original
+    assert cohorts
+    for cohort in cohorts:
+        _assert_parts_match_fingerprints(cohort)
 
 
 # ---------------------------------------------------------------------------

@@ -7,9 +7,11 @@ exactly what a fresh evaluation would produce (cross-checked against the
 brute-force loop-nest interpreter on single-digit problems).
 """
 
+import gc
 import random
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -18,14 +20,16 @@ from hypothesis import strategies as st
 
 from repro.arch import UNIFIED, Architecture, MemoryLevel, tiny
 from repro.baselines import TimeloopConfig, timeloop_search
+from repro.baselines.exhaustive import exhaustive_search
 from repro.baselines.random_search import sample_random_mapping
 from repro.core import SchedulerOptions, SunstoneScheduler, schedule
 from repro.core.network import schedule_network
-from repro.mapping import build_mapping
+from repro.mapping import Mapping, build_mapping
 from repro.mapping.serialize import mapping_to_dict
 from repro.mapspace.batch import NestCohort
-from repro.model import count_accesses, evaluate, simulate_fills
-from repro.search import EvalCache, SearchEngine
+from repro.mapspace.tile import TileSpace
+from repro.model import CostResult, count_accesses, evaluate, simulate_fills
+from repro.search import EvalCache, SearchEngine, engine_scope
 from repro.serve.cache import SeedCache
 from repro.workloads import conv1d, conv2d, mttkrp
 from tests import harness
@@ -487,3 +491,112 @@ def test_evaluate_cohort_rows_of_matches_expanded_cohort(cache_kind,
         assert _engine_state(mapped) == _engine_state(expanded)
     mapped.close()
     expanded.close()
+
+
+# ---------------------------------------------------------------------------
+# the cyclic collector is paused for the span of a search
+# ---------------------------------------------------------------------------
+
+@pytest.fixture
+def gc_enabled():
+    """Start with the collector on; leave it as the test found it."""
+    was = gc.isenabled()
+    gc.enable()
+    yield
+    if was:
+        gc.enable()
+    else:
+        gc.disable()
+
+
+def test_engine_scope_restores_gc_on_outermost_exit(gc_enabled):
+    with engine_scope(None):
+        assert not gc.isenabled()
+        with engine_scope(None):
+            assert not gc.isenabled()
+        assert not gc.isenabled()
+    assert gc.isenabled()
+
+
+def test_engine_scope_restores_gc_after_an_exception(gc_enabled):
+    with pytest.raises(RuntimeError, match="boom"):
+        with engine_scope(None):
+            with engine_scope(None):
+                raise RuntimeError("boom")
+    assert gc.isenabled()
+
+
+def test_engine_scope_keeps_a_disabled_gc_disabled(gc_enabled):
+    gc.disable()
+    with engine_scope(None):
+        assert not gc.isenabled()
+    assert not gc.isenabled()
+    schedule(harness.small_conv(), harness.small_arch())
+    assert not gc.isenabled()
+
+
+def test_engine_scopes_on_two_threads_share_one_pause(gc_enabled):
+    """The collector comes back when the last of two overlapping scopes
+    exits, whichever thread entered first."""
+    first_in, second_in, first_out = (threading.Event() for _ in range(3))
+    seen = {}
+
+    def first():
+        with engine_scope(None):
+            first_in.set()
+            second_in.wait(timeout=30)
+        seen["after first exit"] = gc.isenabled()
+        first_out.set()
+
+    def second():
+        first_in.wait(timeout=30)
+        with engine_scope(None):
+            second_in.set()
+            first_out.wait(timeout=30)
+            seen["inside second"] = gc.isenabled()
+        seen["after second exit"] = gc.isenabled()
+
+    threads = [threading.Thread(target=first), threading.Thread(target=second)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=60)
+    assert seen == {"after first exit": False, "inside second": False,
+                    "after second exit": True}
+    assert gc.isenabled()
+
+
+def test_pool_workers_run_with_gc_enabled(gc_enabled):
+    """A worker forked inside a scope does not inherit the pause."""
+    engine = SearchEngine(workers=2, clamp_workers=False)
+    with engine_scope(engine) as eng:
+        pool = eng._ensure_pool()
+        if pool is None:
+            pytest.skip("process pools are unavailable here")
+        assert not gc.isenabled()
+        assert pool.submit(gc.isenabled).result(timeout=60) is True
+    engine.close()
+    assert gc.isenabled()
+
+
+def test_finished_searches_leave_no_reference_cycles(gc_enabled):
+    """Search internals are freed by refcount: with the collector off
+    and every unreachable object saved, a collection after an exhaustive
+    and a Sunstone search finds none of the search's objects."""
+    gc.collect()
+    gc.disable()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        exhaustive_search(harness.tiny_mttkrp(), harness.small_arch(),
+                          orders_per_level=2)
+        SunstoneScheduler(harness.resnet_conv_layer(),
+                          harness.resnet_conv_arch(),
+                          SchedulerOptions()).schedule()
+        gc.collect()
+        kinds = (SearchEngine, EvalCache, CostResult, Mapping, TileSpace)
+        leaked = sorted({type(obj).__name__ for obj in gc.garbage
+                         if isinstance(obj, kinds)})
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+    assert leaked == []
