@@ -856,13 +856,12 @@ def make_parser() -> argparse.ArgumentParser:
                             "evaluated")
         p.add_argument("--cache-size", type=nonnegative_int, default=None,
                        metavar="N",
-                       help="entry cap for the result and partial-term "
-                            "caches (0 = unbounded; default per-cache "
-                            "bound)")
+                       help="entry cap for the result cache "
+                            "(0 = unbounded; default 200000)")
         p.add_argument("--profile", action="store_true",
                        help="print the per-stage evaluation profile "
                             "(model/generation/cache/pool time, "
-                            "partial-cache hit rate)")
+                            "vectorised evaluations, cache hit rate)")
 
     def add_shard_flag(p: argparse.ArgumentParser) -> None:
         p.add_argument("--shard", metavar="I/N", default=None,

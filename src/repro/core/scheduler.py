@@ -101,9 +101,9 @@ class SchedulerOptions:
     workers: int = 1
     cache: bool = True
     # Vectorised cohort evaluation (repro.model.batch) for cache-miss
-    # batches, and the entry cap shared by the result and partial-term
-    # caches (None = default bound, 0 = unbounded).  Both are
-    # behaviour-preserving knobs like workers/cache.
+    # batches, and the entry cap of the result cache (None = default
+    # bound, 0 = unbounded).  Both are behaviour-preserving knobs like
+    # workers/cache.
     batch: bool = True
     # Vectorised cohort *generation* (repro.mapspace.batch): per-step
     # candidates stream to the engine as geometry cohorts and Mapping

@@ -79,7 +79,7 @@ class Cohort:
         raise NotImplementedError
 
     def evaluate_rows(self, indices: Sequence[int], partial_reuse,
-                      sparsity, partial_cache):
+                      sparsity):
         """Vectorized evaluation of the selected rows (in order), or
         ``None`` when the geometry path is unavailable."""
         staged = self._stage_rows(indices)
@@ -88,9 +88,7 @@ class Cohort:
         from ..model.batch import evaluate_geometry
         return evaluate_geometry(
             self.workload, self.arch, *staged,
-            partial_reuse=partial_reuse, sparsity=sparsity,
-            partial_cache=partial_cache,
-        )
+            partial_reuse=partial_reuse, sparsity=sparsity)
 
     def _stage_rows(self, indices: Sequence[int]):
         """``geometry()`` restricted to the selected rows, or ``None``."""

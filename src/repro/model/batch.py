@@ -32,8 +32,8 @@ from __future__ import annotations
 from ..mapping.mapping import Mapping
 from ..sparse.spec import SparsitySpec
 from .cost import CostResult, evaluate
-from .terms import (MappingView, ModelInfo, PartialEvalCache,
-                    _compute_term, _level_problems, model_info)
+from .terms import (MappingView, ModelInfo, _compute_term, _level_problems,
+                    model_info)
 
 try:  # numpy is an optional extra; the scalar fallback is bit-identical
     import numpy as _np
@@ -42,49 +42,55 @@ except Exception:  # pragma: no cover - exercised by the no-numpy CI leg
 
 HAVE_NUMPY = _np is not None
 
-# Below this cohort size the array staging costs more than it saves.
+# Below this group size the array staging costs more than it saves.
 MIN_BATCH = 4
+
+
+def _groups(mappings: list[Mapping]):
+    """Input indices of ``mappings`` per (workload, architecture) pair."""
+    groups: dict[tuple[int, int], list[int]] = {}
+    for k, m in enumerate(mappings):
+        groups.setdefault((id(m.workload), id(m.arch)), []).append(k)
+    return groups.values()
+
+
+def vectorised_rows(mappings: list[Mapping]) -> int:
+    """How many of ``mappings`` :func:`evaluate_batch` runs through an
+    array rollup; the rest fall back to the scalar model."""
+    if _np is None or len(mappings) < MIN_BATCH:
+        return 0
+    return sum(len(g) for g in _groups(mappings) if len(g) >= MIN_BATCH)
 
 
 def evaluate_batch(
     mappings: list[Mapping],
     partial_reuse: bool = True,
     sparsity: SparsitySpec | None = None,
-    partial_cache: PartialEvalCache | None = None,
 ) -> list[CostResult]:
     """Evaluate a cohort of mappings, vectorising where profitable.
 
     Mappings may mix workloads/architectures; candidates are grouped by
-    (workload, architecture) object pair and each group large enough is
-    evaluated with array rollups.  Results are returned in input order
-    and are bit-identical to ``[evaluate(m, ...) for m in mappings]``.
+    (workload, architecture) object pair and each group of at least
+    ``MIN_BATCH`` is evaluated with array rollups.  Results are returned
+    in input order and are bit-identical to
+    ``[evaluate(m, ...) for m in mappings]``.
     """
-    if partial_cache is not None:
-        partial_cache.check_config(partial_reuse, sparsity)
     if _np is None or len(mappings) < MIN_BATCH:
-        return [
-            evaluate(m, partial_reuse=partial_reuse, sparsity=sparsity,
-                     partial_cache=partial_cache)
-            for m in mappings
-        ]
+        return [evaluate(m, partial_reuse=partial_reuse, sparsity=sparsity)
+                for m in mappings]
     results: list[CostResult | None] = [None] * len(mappings)
-    groups: dict[tuple[int, int], list[int]] = {}
-    for k, m in enumerate(mappings):
-        groups.setdefault((id(m.workload), id(m.arch)), []).append(k)
-    for indices in groups.values():
+    for indices in _groups(mappings):
         first = mappings[indices[0]]
         if len(indices) < MIN_BATCH:
             for k in indices:
-                results[k] = evaluate(
-                    mappings[k], partial_reuse=partial_reuse,
-                    sparsity=sparsity, partial_cache=partial_cache,
-                )
+                results[k] = evaluate(mappings[k],
+                                      partial_reuse=partial_reuse,
+                                      sparsity=sparsity)
             continue
         info = model_info(first.workload, first.arch)
         group = [mappings[k] for k in indices]
-        for k, res in zip(indices,
-                          _evaluate_group(group, info, partial_reuse,
-                                          sparsity, partial_cache)):
+        for k, res in zip(indices, _evaluate_group(group, info,
+                                                   partial_reuse, sparsity)):
             results[k] = res
     return results  # type: ignore[return-value]
 
@@ -213,7 +219,7 @@ class _CohortGeometry:
             if self.views is not None:
                 pos = self.info.dim_index
                 out = _np.array(
-                    [[(r[1], pos.get(r[2], -1), r[3])
+                    [[(r[0], pos.get(r[1], -1), r[2])
                       for r in v.suffix_info(child)] for v in self.views],
                     dtype=_np.int64)
             else:
@@ -274,16 +280,14 @@ class _CohortGeometry:
         return out
 
 
-def _pair_term_cols(info, tinfo, child, partial_reuse, spec, cache, geo,
-                    idxb):
+def _pair_term_cols(info, tinfo, child, partial_reuse, spec, geo, idxb):
     """Term columns of one (tensor, child) for a whole cohort.
 
-    Builds the fingerprint rows as int64 columns, dedupes them with
-    ``np.unique`` and runs :func:`~repro.model.terms._compute_term` (and
-    the shared cache probe) once per *distinct* fingerprint — sweep
-    cohorts repeat fingerprints heavily.  Returns the per-candidate
-    ``(fills, distinct, fill_words, pair_words)`` columns, scattered
-    back exactly (integer/float64 gathers reorder nothing).
+    Builds the fingerprint rows as int64 columns and runs
+    :func:`~repro.model.terms._compute_term` once per *distinct*
+    fingerprint — sweep cohorts repeat fingerprints heavily.  Returns the
+    per-candidate ``(fills, distinct, fill_words, pair_words)`` columns,
+    scattered back exactly (integer/float64 gathers reorder nothing).
     """
     np = _np
     num = info.num_levels
@@ -301,11 +305,7 @@ def _pair_term_cols(info, tinfo, child, partial_reuse, spec, cache, geo,
     inner_bound = np.where(trivial, 1, run[:, 2])
     key_mat = np.column_stack([sub, fills, inner_id, inner_bound, t_rel])
 
-    token = info.token
-    tindex = tinfo.index
     dim_names = info.dim_names
-    entries = cache._entries if cache is not None else None
-    hits = misses = 0
     local: dict[tuple, int] = {}
     local_get = local.get
     inverse: list[int] = []
@@ -320,24 +320,10 @@ def _pair_term_cols(info, tinfo, child, partial_reuse, spec, cache, geo,
         if slot is None:
             spans_row = row[:nrel]
             fills_u, inner_id_u, inner_bound_u, t_rel_u = row[nrel:]
-            sizes_key = tuple(spans_row)
             inner_dim = dim_names[inner_id_u] if inner_id_u >= 0 else None
-            term = None
-            if entries is not None:
-                key = (token, tindex, child, sizes_key, fills_u,
-                       inner_dim, inner_bound_u, t_rel_u)
-                term = entries.get(key)
-                if term is not None:
-                    entries.move_to_end(key)
-                    hits += 1
-            if term is None:
-                sizes = dict(zip(rel, spans_row))
-                term = _compute_term(info, tinfo, sizes, sizes_key,
-                                     fills_u, inner_dim, inner_bound_u,
-                                     t_rel_u, partial_reuse, spec)
-                if entries is not None:
-                    misses += 1
-                    entries[key] = term
+            term = _compute_term(info, tinfo, dict(zip(rel, spans_row)),
+                                 tuple(spans_row), fills_u, inner_dim,
+                                 inner_bound_u, t_rel_u, partial_reuse, spec)
             slot = len(d_fills)
             local[kt] = slot
             d_fills.append(term[0])
@@ -345,13 +331,6 @@ def _pair_term_cols(info, tinfo, child, partial_reuse, spec, cache, geo,
             d_fw.append(term[2])
             d_pw.append(term[3])
         inv_append(slot)
-    if cache is not None:
-        cache.hits += hits
-        cache.misses += misses
-        if cache.max_entries is not None:
-            while len(entries) > cache.max_entries:
-                entries.popitem(last=False)
-                cache.evictions += 1
     if len(d_fills) == 1:
         # One fingerprint for the whole cohort — broadcast it.
         n = len(inverse)
@@ -416,12 +395,11 @@ def _evaluate_group(
     info: ModelInfo,
     partial_reuse: bool,
     sparsity: SparsitySpec | None,
-    partial_cache: PartialEvalCache | None,
 ) -> list[CostResult]:
     """Array rollup of one same-(workload, arch) cohort of Mappings."""
     views = [MappingView(m, info) for m in mappings]
     geo = _CohortGeometry(views, mappings, info)
-    return _rollup(geo, partial_reuse, sparsity, partial_cache)
+    return _rollup(geo, partial_reuse, sparsity)
 
 
 def evaluate_geometry(
@@ -433,7 +411,6 @@ def evaluate_geometry(
     order_table,
     partial_reuse: bool = True,
     sparsity: SparsitySpec | None = None,
-    partial_cache: PartialEvalCache | None = None,
 ) -> list[CostResult]:
     """Evaluate a cohort given directly as factor matrices.
 
@@ -447,19 +424,16 @@ def evaluate_geometry(
     """
     if _np is None:
         raise RuntimeError("evaluate_geometry requires numpy")
-    if partial_cache is not None:
-        partial_cache.check_config(partial_reuse, sparsity)
     info = model_info(workload, arch)
     geo = _CohortGeometry.from_arrays(info, t_mat, s_mat, order_ids,
                                       order_table)
-    return _rollup(geo, partial_reuse, sparsity, partial_cache)
+    return _rollup(geo, partial_reuse, sparsity)
 
 
 def _rollup(
     geo: _CohortGeometry,
     partial_reuse: bool,
     sparsity: SparsitySpec | None,
-    partial_cache: PartialEvalCache | None,
 ) -> list[CostResult]:
     """Array rollup over staged geometry (views- or matrix-backed)."""
     np = _np
@@ -516,8 +490,7 @@ def _rollup(
         # ---- transfers between adjacent storage levels ----
         for child, parent in tinfo.pairs:
             fills_a, dist_a, fw, pw = _pair_term_cols(
-                info, tinfo, child, partial_reuse, spec, partial_cache,
-                geo, idxb)
+                info, tinfo, child, partial_reuse, spec, geo, idxb)
             bi = idxb[:, parent] // idxb[:, child]
             ratios = pair_ratios.get((child, parent))
             if ratios is None:

@@ -1,18 +1,18 @@
 """Parallel, memoized evaluation of mapping candidates.
 
 The :class:`SearchEngine` is the single funnel through which the Sunstone
-scheduler and every baseline mapper run the cost model.  It adds two
-orthogonal accelerations, both provably behaviour-preserving:
+scheduler and every baseline mapper run the cost model.  It adds three
+orthogonal accelerations, all provably behaviour-preserving:
 
 * **memoisation** — results are cached in an :class:`EvalCache` keyed on
   the canonical mapping fingerprint, so re-evaluating an
   identically-shaped candidate (within a level sweep, across the
   escalation retry, or across the layers of a network) is free;
 * **vectorisation** — cohorts of cache misses run through
-  :func:`repro.model.batch.evaluate_batch` (numpy array rollups sharing
-  the term-level :class:`~repro.model.terms.PartialEvalCache`), falling
-  back bit-identically to the scalar model when numpy is absent or
-  ``batch=False``;
+  :func:`repro.model.batch.evaluate_batch` (numpy array rollups that
+  compute each distinct per-tensor term once per cohort), falling back
+  bit-identically to the scalar model when numpy is absent, the cohort
+  is small, or ``batch=False``;
 * **parallelism** — with vectorisation off, batches of cache misses fan
   out over a ``ProcessPoolExecutor`` in deterministic chunks and merge
   back in submission order, so the downstream argmin sees candidates in
@@ -42,10 +42,9 @@ from contextlib import contextmanager
 from typing import Iterator, Sequence
 
 from ..mapping.mapping import Mapping
-from ..model.batch import HAVE_NUMPY
+from ..model.batch import HAVE_NUMPY, vectorised_rows
 from ..model.batch import evaluate_batch as _batch_evaluate
 from ..model.cost import CostResult, evaluate
-from ..model.terms import PartialEvalCache
 from ..sparse.spec import SparsitySpec
 from .cache import EvalCache
 from .faults import FaultPlan, InjectedFault, plan_from_env, trip_chunk_fault
@@ -104,16 +103,9 @@ class SearchEngine:
         pool for ``workers > 1``).  Results are bit-identical either
         way.
     cache_size:
-        Entry cap shared by the result :class:`EvalCache` and the
-        term-level :class:`PartialEvalCache`.  ``None`` keeps each
-        cache's default bound; ``0`` means unbounded.  Ignored for the
-        result cache when an existing ``EvalCache`` object is passed.
-    partial_cache:
-        ``True`` (default) builds a term-level
-        :class:`~repro.model.terms.PartialEvalCache` bound to this
-        engine's ``(partial_reuse, sparsity)``; ``False``/``None``
-        disables term memoisation; or pass an instance to share one
-        (its configuration is verified).
+        Entry cap of the result :class:`EvalCache`.  ``None`` keeps its
+        default bound; ``0`` means unbounded.  Ignored when an existing
+        ``EvalCache`` object is passed.
     chunk_timeout:
         Per-chunk wall-clock budget (seconds) for pooled evaluation.
         A chunk that exceeds it is declared lost: the pool is rebuilt
@@ -141,7 +133,6 @@ class SearchEngine:
         sparsity: SparsitySpec | None = None,
         batch: bool = True,
         cache_size: int | None = None,
-        partial_cache: PartialEvalCache | bool | None = True,
         chunk_timeout: float | None = None,
         fault_plan: FaultPlan | None = None,
         max_pool_rebuilds: int = 1,
@@ -182,19 +173,6 @@ class SearchEngine:
         self.chunk_size = chunk_size
         self.batch = bool(batch)
         self._use_batch = self.batch and HAVE_NUMPY
-        if partial_cache is True:
-            if cache_size is None:
-                partial_cache = PartialEvalCache(
-                    partial_reuse=partial_reuse, sparsity=sparsity)
-            else:
-                partial_cache = PartialEvalCache(
-                    max_entries=cache_size,
-                    partial_reuse=partial_reuse, sparsity=sparsity)
-        elif partial_cache is False:
-            partial_cache = None
-        elif partial_cache is not None:
-            partial_cache.check_config(partial_reuse, sparsity)
-        self.partial_cache: PartialEvalCache | None = partial_cache
         self.stats = SearchStats(workers=self._effective_workers)
         self.chunk_timeout = chunk_timeout
         self.max_pool_rebuilds = max_pool_rebuilds
@@ -301,13 +279,6 @@ class SearchEngine:
             mapping, self.partial_reuse, workload_fp=wl_fp, arch_fp=entry[1],
             sparsity=self.sparsity)
 
-    def _sync_partial_stats(self) -> None:
-        pc = self.partial_cache
-        if pc is not None:
-            self.stats.partial_hits = pc.hits
-            self.stats.partial_misses = pc.misses
-            self.stats.partial_evictions = pc.evictions
-
     def _model_eval(self, mapping: Mapping) -> CostResult:
         """One in-process cost-model call, surviving injected faults.
 
@@ -318,8 +289,7 @@ class SearchEngine:
         plan = self._fault_plan
         if plan is None:
             return evaluate(mapping, partial_reuse=self.partial_reuse,
-                            sparsity=self.sparsity,
-                            partial_cache=self.partial_cache)
+                            sparsity=self.sparsity)
         site = self._eval_site
         self._eval_site += 1
         attempt = 0
@@ -327,8 +297,7 @@ class SearchEngine:
             try:
                 plan.check_eval(site, attempt)
                 return evaluate(mapping, partial_reuse=self.partial_reuse,
-                                sparsity=self.sparsity,
-                                partial_cache=self.partial_cache)
+                                sparsity=self.sparsity)
             except InjectedFault:
                 self.stats.faults.injected += 1
                 attempt += 1
@@ -344,7 +313,6 @@ class SearchEngine:
             result = self._model_eval(mapping)
             self.stats.add_stage_time("model",
                                       time.perf_counter() - start)
-            self._sync_partial_stats()
             return result
         key = self.fingerprint(mapping)
         cached = self.cache.get(key)
@@ -358,7 +326,6 @@ class SearchEngine:
         self.stats.cache_misses += 1
         self.cache.put(key, result)
         self.stats.cache_evictions = self.cache.evictions
-        self._sync_partial_stats()
         return result
 
     def evaluate_many(
@@ -419,9 +386,6 @@ class SearchEngine:
                                   time.perf_counter() - cache_start)
         self.stats.wall_time_s += time.perf_counter() - start
         return results  # type: ignore[return-value]
-
-    # Established name from PR 1; several call sites and tests use it.
-    evaluate_batch = evaluate_many
 
     def _cohort_fingerprint(self, cohort, i: int) -> Fingerprint:
         """Cache key of cohort row ``i`` — the same tuple
@@ -521,13 +485,11 @@ class SearchEngine:
         if self._use_batch and len(indices) >= 2:
             start = time.perf_counter()
             results = cohort.evaluate_rows(
-                indices, self.partial_reuse, self.sparsity,
-                self.partial_cache)
+                indices, self.partial_reuse, self.sparsity)
             if results is not None:
                 self.stats.add_stage_time("model",
                                           time.perf_counter() - start)
                 self.stats.batched_evaluations += len(indices)
-                self._sync_partial_stats()
                 return results
         # No vectorized path: materialize the rows and run them through
         # the exact machinery evaluate_many uses (process pool, fault
@@ -540,15 +502,16 @@ class SearchEngine:
         first, process pool only with vectorisation unavailable."""
         if not mappings:
             return []
-        if self._use_batch and len(mappings) >= 2:
+        if self._use_batch:
+            # evaluate_batch decides which groups are large enough for an
+            # array rollup; only those rows count as vectorised.
             start = time.perf_counter()
             results = _batch_evaluate(
                 mappings, partial_reuse=self.partial_reuse,
-                sparsity=self.sparsity, partial_cache=self.partial_cache)
+                sparsity=self.sparsity)
             self.stats.add_stage_time("model",
                                       time.perf_counter() - start)
-            self.stats.batched_evaluations += len(mappings)
-            self._sync_partial_stats()
+            self.stats.batched_evaluations += vectorised_rows(mappings)
             return results
         workers = self._effective_workers
         if workers == 1 or len(mappings) < 2 * workers:
@@ -556,7 +519,6 @@ class SearchEngine:
             results = [self._model_eval(m) for m in mappings]
             self.stats.add_stage_time("model",
                                       time.perf_counter() - start)
-            self._sync_partial_stats()
             return results
         pool = self._ensure_pool()
         if pool is None:  # pool creation failed; workers reset to 1
@@ -564,7 +526,6 @@ class SearchEngine:
             results = [self._model_eval(m) for m in mappings]
             self.stats.add_stage_time("model",
                                       time.perf_counter() - start)
-            self._sync_partial_stats()
             return results
         start = time.perf_counter()
         try:
@@ -576,15 +537,6 @@ class SearchEngine:
             raise
         self.stats.add_stage_time("pool", time.perf_counter() - start)
         return results
-
-    def _eval_chunk_inline(self, chunk: list[Mapping]) -> list[CostResult]:
-        """In-process fallback for a chunk the pool lost; bit-identical
-        to what the worker would have returned (the model is pure and
-        the partial cache is a transparent accelerator)."""
-        return [evaluate(m, partial_reuse=self.partial_reuse,
-                         sparsity=self.sparsity,
-                         partial_cache=self.partial_cache)
-                for m in chunk]
 
     def _run_pooled(
         self, pool: ProcessPoolExecutor, mappings: list[Mapping],
@@ -615,7 +567,9 @@ class SearchEngine:
             pool_batch = []
             for i in pending:
                 if pool is None or attempts[i] >= _MAX_CHUNK_ATTEMPTS:
-                    results[i] = self._eval_chunk_inline(chunks[i])
+                    # In-process, as the worker would have run it.
+                    results[i] = _evaluate_chunk(
+                        (chunks[i], self.partial_reuse, self.sparsity, None))
                     faults.degraded_chunks += 1
                 else:
                     pool_batch.append(i)

@@ -418,10 +418,6 @@ def _refresh_derived(stats: dict) -> None:
     stats["requests"] = requests
     stats["hit_rate"] = (stats.get("cache_hits", 0) / requests
                          if requests else 0.0)
-    partial = stats.get("partial_hits", 0) + stats.get("partial_misses", 0)
-    stats["partial_requests"] = partial
-    stats["partial_hit_rate"] = (stats.get("partial_hits", 0) / partial
-                                 if partial else 0.0)
 
 
 def _sum_seed_hits(parts: Sequence[dict]) -> int:

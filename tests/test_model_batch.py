@@ -1,11 +1,9 @@
 """Bit-identity and regression harness for ``repro.model.batch``.
 
-Pins the PR's determinism contract: the vectorised cohort evaluator and
-the term-level partial cache produce results bit-identical to the plain
-scalar ``evaluate()`` — every float field, the validity verdict and the
-violation strings — across window/halo workloads, bypass configurations
-and sparsity specs; and a level sweep with the partial cache recomputes
-strictly fewer terms than a cold one.
+Pins the determinism contract: the vectorised cohort evaluator produces
+results bit-identical to the plain scalar ``evaluate()`` — every float
+field, the validity verdict and the violation strings — across
+window/halo workloads, bypass configurations and sparsity specs.
 """
 
 import json
@@ -23,7 +21,6 @@ from repro.mapping import build_mapping
 from repro.mapping.serialize import mapping_to_dict
 from repro.model import (
     HAVE_NUMPY,
-    PartialEvalCache,
     evaluate,
     evaluate_batch,
     model_info,
@@ -95,8 +92,8 @@ def _assert_same(a, b, context):
 
 @given(seed=st.integers(min_value=0, max_value=10**9))
 @settings(max_examples=30, deadline=None, derandomize=True)
-def test_batch_and_partial_cache_bitwise_identical(seed):
-    """Scalar, scalar+partial-cache and vectorised paths agree exactly."""
+def test_batch_and_scalar_bitwise_identical(seed):
+    """Scalar and vectorised paths agree exactly."""
     rng = random.Random(seed)
     workload, arch = _CASES[rng.randrange(len(_CASES))]
     sparsity = rng.choice([None, _SPARSE])
@@ -105,30 +102,12 @@ def test_batch_and_partial_cache_bitwise_identical(seed):
 
     scalar = [evaluate(m, partial_reuse=partial_reuse, sparsity=sparsity)
               for m in mappings]
-    cache = PartialEvalCache(partial_reuse=partial_reuse, sparsity=sparsity)
-    cached = [evaluate(m, partial_reuse=partial_reuse, sparsity=sparsity,
-                       partial_cache=cache)
-              for m in mappings]
-    # Second pass replays every term from the cache.
-    replayed = [evaluate(m, partial_reuse=partial_reuse, sparsity=sparsity,
-                         partial_cache=cache)
-                for m in mappings]
     batched = evaluate_batch(mappings, partial_reuse=partial_reuse,
                              sparsity=sparsity)
-    fresh_cache = PartialEvalCache(partial_reuse=partial_reuse,
-                                   sparsity=sparsity)
-    batched_cached = evaluate_batch(mappings, partial_reuse=partial_reuse,
-                                    sparsity=sparsity,
-                                    partial_cache=fresh_cache)
     context = (workload.name, arch.name, sparsity is not None,
                partial_reuse)
     for i, oracle in enumerate(scalar):
-        _assert_same(oracle, cached[i], context + ("partial-cache", i))
-        _assert_same(oracle, replayed[i], context + ("replay", i))
         _assert_same(oracle, batched[i], context + ("batch", i))
-        _assert_same(oracle, batched_cached[i],
-                     context + ("batch+cache", i))
-    assert cache.hits > 0  # the replay pass must actually reuse terms
 
 
 def test_violation_messages_match_mapping_validate():
@@ -142,65 +121,6 @@ def test_violation_messages_match_mapping_validate():
             assert result.violations == expected
             saw_invalid += bool(expected)
     assert saw_invalid > 0  # the sample must exercise the invalid branch
-
-
-# ---------------------------------------------------------------------------
-# Satellite (c): partial-cache reuse regression
-# ---------------------------------------------------------------------------
-
-
-def test_level_perturbation_reuses_untouched_terms():
-    """Perturbing only outer levels recomputes strictly fewer terms.
-
-    The base mapping keeps innermost *relevant* loops (Q, S) at L2, so
-    every tensor's L1-side fill suffix terminates there; moving a C
-    factor between L2's outer portion and DRAM — a sweep/polish move on
-    the outer levels — must replay all L1-side terms from the cache and
-    recompute only the pairs the move actually touches.
-    """
-    workload, arch = _CASES[1]  # conv2d on conventional (L1, L2, DRAM)
-    num = arch.num_levels
-    orders = [list(workload.dims) for _ in range(num)]
-
-    def mapping_with(l1_temporal):
-        temporal = [dict() for _ in range(num)]
-        temporal[1] = dict(l1_temporal)  # residual completes at the top
-        return build_mapping(workload, arch,
-                             temporal=temporal,
-                             spatial=[dict() for _ in range(num)],
-                             orders=orders)
-
-    base = mapping_with({"Q": 6, "S": 3})
-    perturbed = mapping_with({"Q": 6, "S": 3, "C": 2})
-
-    cache = PartialEvalCache()
-    evaluate(base, partial_cache=cache)
-    cold_misses = cache.misses
-    assert cache.hits == 0 and cold_misses > 0
-    evaluate(perturbed, partial_cache=cache)
-    delta = cache.misses - cold_misses
-    assert delta < cold_misses  # strictly fewer recomputations
-    assert cache.hits > 0  # untouched levels replayed verbatim
-
-
-def test_partial_cache_is_config_bound():
-    cache = PartialEvalCache(partial_reuse=True, sparsity=None)
-    with pytest.raises(ValueError):
-        cache.check_config(False, None)
-    with pytest.raises(ValueError):
-        cache.check_config(True, _SPARSE)
-    mapping = _random_mappings(*_CASES[0], random.Random(0), 1)[0]
-    with pytest.raises(ValueError):
-        evaluate(mapping, partial_reuse=False, partial_cache=cache)
-
-
-def test_partial_cache_lru_bound_evicts():
-    cache = PartialEvalCache(max_entries=4)
-    rng = random.Random(3)
-    for mapping in _random_mappings(*_CASES[0], rng, 8):
-        evaluate(mapping, partial_cache=cache)
-    assert len(cache) <= 4
-    assert cache.evictions > 0
 
 
 # ---------------------------------------------------------------------------
@@ -243,11 +163,30 @@ def test_engine_evaluate_many_routes_through_batch():
         _assert_same(want, got, "engine")
     if HAVE_NUMPY:
         assert engine.stats.batched_evaluations > 0
-    assert engine.stats.partial_requests > 0
     assert "model" in engine.stats.stage_time_s
     assert "cache" in engine.stats.stage_time_s
-    # The established alias keeps working.
-    assert engine.evaluate_batch(mappings) == results
+
+
+def test_batched_evaluations_count_only_array_rollups():
+    """Rows that evaluate_batch hands to the scalar model (a cohort, or a
+    (workload, arch) group, below MIN_BATCH) are not vectorised."""
+    workload, arch = _CASES[3]
+    small = _random_mappings(workload, arch, random.Random(17), 3)
+    engine = SearchEngine(workers=1, cache=False, batch=True)
+    engine.evaluate_many(small)
+    assert engine.stats.evaluations == 3
+    assert engine.stats.batched_evaluations == 0
+
+    other_workload, other_arch = _CASES[0]
+    mixed = (_random_mappings(workload, arch, random.Random(19), 5)
+             + _random_mappings(other_workload, other_arch,
+                                random.Random(23), 2))
+    engine = SearchEngine(workers=1, cache=False, batch=True)
+    results = engine.evaluate_many(mixed)
+    for got, mapping in zip(results, mixed):
+        _assert_same(evaluate(mapping), got, "mixed")
+    assert engine.stats.evaluations == 7
+    assert engine.stats.batched_evaluations == (5 if HAVE_NUMPY else 0)
 
 
 def test_no_numpy_fallback_is_bitwise_scalar(monkeypatch):
@@ -277,11 +216,8 @@ def test_engine_cache_size_bounds_both_caches():
     assert engine.cache.max_entries == 4
     assert len(engine.cache) <= 4
     assert engine.stats.cache_evictions > 0
-    assert engine.partial_cache.max_entries == 4
-    assert engine.stats.partial_evictions > 0
     unbounded = SearchEngine(workers=1, cache=True, cache_size=0)
     assert unbounded.cache.max_entries is None
-    assert unbounded.partial_cache.max_entries is None
     with pytest.raises(ValueError):
         SearchEngine(cache_size=-1)
 
@@ -292,16 +228,15 @@ def test_stats_profile_fields_merge_and_serialise():
     engine.evaluate_many(_random_mappings(workload, arch,
                                           random.Random(1), 6))
     snapshot = engine.stats.to_dict()
-    for key in ("stage_time_s", "batched_evaluations", "partial_hits",
-                "partial_misses", "partial_evictions",
-                "partial_hit_rate"):
+    for key in ("stage_time_s", "batched_evaluations"):
         assert key in snapshot
+    assert not any(key.startswith("partial") for key in snapshot)
     text = engine.stats.profile_summary()
-    assert "partial-term cache" in text and "stage time" in text
+    assert "eval cache" in text and "stage time" in text
     merged = type(engine.stats)()
     merged.merge(engine.stats)
     merged.merge(engine.stats)
-    assert merged.partial_hits == 2 * engine.stats.partial_hits
+    assert merged.evaluations == 2 * engine.stats.evaluations
     assert merged.batched_evaluations == 2 * engine.stats.batched_evaluations
     for stage, seconds in engine.stats.stage_time_s.items():
         assert merged.stage_time_s[stage] == pytest.approx(2 * seconds)
@@ -321,10 +256,10 @@ def test_cli_profile_and_stats_json(tmp_path, capsys):
                                  "--stats-json", str(stats_path)])
     assert code == 0
     out = capsys.readouterr().out
-    assert "profile:" in out and "partial-term cache" in out
+    assert "profile:" in out and "eval cache" in out
     document = json.loads(stats_path.read_text())
     search = document["search"]
-    assert "stage_time_s" in search and "partial_hits" in search
+    assert "stage_time_s" in search
     assert search["batched_evaluations"] >= 0
 
 
